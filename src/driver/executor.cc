@@ -15,7 +15,6 @@
 #include "support/cancel.hh"
 #include "support/faultinject.hh"
 #include "support/metrics.hh"
-#include "support/threadbudget.hh"
 
 namespace rodinia {
 namespace driver {
@@ -182,16 +181,6 @@ Executor::Impl::tryRunOne(int self)
     if (!task)
         return false;
     pending.fetch_sub(1);
-    // Reserve this context in the process-wide helper-thread budget
-    // while the task runs: a GPU sim inside the task then sizes its
-    // epoch-engine pool to the machine's *remaining* threads instead
-    // of oversubscribing (ThreadBudget is the meeting point between
-    // the executor's slots and gpusim's nested parallelism).
-    struct BudgetMark
-    {
-        BudgetMark() { support::ThreadBudget::instance().markActive(); }
-        ~BudgetMark() { support::ThreadBudget::instance().markIdle(); }
-    } mark;
     task();
     return true;
 }

@@ -348,7 +348,11 @@ buildTable3(Context &ctx)
         const auto &[name, version] = kCombos[i];
         const auto &st = slots[i].st;
         const auto &mix = slots[i].mix;
-        t.addRow({name, "v" + std::to_string(version),
+        // Appending, not operator+: GCC 12 at -O3 reports a false
+        // -Wrestrict in the inlined "v" + std::string.
+        std::string ver = "v";
+        ver += std::to_string(version);
+        t.addRow({name, ver,
                   Table::fmt(st.ipc(), 0),
                   Table::pct(st.bwUtilization(), 0),
                   Table::pct(mix[size_t(Space::Shared)]),

@@ -1,18 +1,13 @@
 #include "gpusim/timing.hh"
 
 #include <algorithm>
-#include <atomic>
-#include <chrono>
-#include <condition_variable>
 #include <cstdlib>
 #include <deque>
 #include <iomanip>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <queue>
 #include <sstream>
-#include <thread>
 #include <vector>
 
 #include "gpusim/replay.hh"
@@ -20,7 +15,6 @@
 #include "support/cancel.hh"
 #include "support/logging.hh"
 #include "support/metrics.hh"
-#include "support/threadbudget.hh"
 
 namespace rodinia {
 namespace gpusim {
@@ -146,38 +140,6 @@ formatDeadlockDiagnostics(uint64_t cycle, size_t next_block,
 
 namespace {
 
-/** setSimEpochForTest's cap; 0 = use epochCyclesFor unmodified. */
-std::atomic<uint64_t> epochCapForTest{0};
-
-} // namespace
-
-uint64_t
-epochCyclesFor(const SimConfig &cfg)
-{
-    // The shortest path through shared state: an L2 hit, or a DRAM
-    // transaction that starts on an idle channel. Any request issued
-    // at cycle c therefore completes at or after c + E, i.e. never
-    // before the next epoch boundary — which is exactly what lets the
-    // parallel engine defer all shared-state arbitration to the
-    // boundary without changing any warp's wake cycle.
-    uint64_t dram = uint64_t(cfg.channelServiceCycles()) +
-                    uint64_t(cfg.gmemLatencyCycles > 0
-                                 ? cfg.gmemLatencyCycles
-                                 : 0);
-    uint64_t e = dram;
-    if (cfg.l2Enabled && uint64_t(cfg.l2HitLatency) < e)
-        e = uint64_t(cfg.l2HitLatency);
-    return e > 0 ? e : 1;
-}
-
-void
-setSimEpochForTest(uint64_t cycles)
-{
-    epochCapForTest.store(cycles, std::memory_order_relaxed);
-}
-
-namespace {
-
 constexpr uint64_t kIdle = ~0ULL;
 
 /** RODINIA_STRICT as a runtime switch (unset or "0" = off). Read
@@ -195,8 +157,8 @@ strictChecksEnabled()
  * an *empty* SM — i.e. its standalone demand exceeds the SM's total
  * capacity — or nullptr if it fits. Such a CTA is only ever admitted
  * through the "always allow one CTA" deadlock-avoidance hatch, and
- * silently simulating it understates contention, so both engines
- * count it and optionally fail fast.
+ * silently simulating it understates contention, so the engine
+ * counts it and optionally fails fast.
  */
 const char *
 ctaOverloadReason(const SimConfig &cfg, const BlockRecord &block)
@@ -372,8 +334,7 @@ channelOf(uint64_t addr, uint64_t chan_mask, int num_channels)
                      : int((addr >> 8) % uint64_t(num_channels));
 }
 
-/** Single-launch serial simulation engine — the determinism oracle
- *  the parallel engine below is tested against. */
+/** Single-launch simulation engine. */
 class Engine
 {
   public:
@@ -785,37 +746,9 @@ class Engine
 
 } // namespace
 
-} // namespace gpusim
-} // namespace rodinia
-
-#include "gpusim/timing_epoch.inc"
-
-namespace rodinia {
-namespace gpusim {
-
 KernelStats
 TimingSim::simulate(const KernelRecording &rec) const
 {
-    // The epoch engine needs at least two blocks to have any cross-SM
-    // work to overlap; single-block launches and explicit simThreads=1
-    // take the serial oracle path. The *structure* (epoch batching)
-    // is chosen by the requested thread count alone so --sim-threads N
-    // deterministically exercises the parallel engine; only the
-    // helper-pool *size* adapts to the process-wide thread budget.
-    int want = cfg.effectiveSimThreads();
-    if (want > 1 && rec.blocks.size() > 1 && cfg.numSms > 1) {
-        int target = std::min(want, cfg.numSms);
-        auto &budget = support::ThreadBudget::instance();
-        int granted = budget.tryAcquire(target - 1);
-        struct Release
-        {
-            support::ThreadBudget &b;
-            int n;
-            ~Release() { b.release(n); }
-        } release{budget, granted};
-        EpochEngine engine(cfg, rec, 1 + granted);
-        return engine.run();
-    }
     Engine engine(cfg, rec);
     return engine.run();
 }

@@ -169,11 +169,14 @@ TEST(Executor, DeterministicAcrossThreadCounts)
         for (size_t j = 0; j < slots.size(); ++j) {
             g.add("slot" + std::to_string(j), [&slots, j, &ex] {
                 double acc = double(j) + 1.0;
-                ex.parallelFor(16, [&](size_t i) {
-                    // independent per-iteration contribution
-                    slots[j] += 0.0; // no cross-iteration state
-                    (void)i;
+                // Each iteration writes only its own element, so the
+                // nested loop shares no state between iterations.
+                std::vector<double> part(16, 0.0);
+                ex.parallelFor(part.size(), [&](size_t i) {
+                    part[i] = double(i);
                 });
+                for (double p : part)
+                    acc += p;
                 for (int i = 0; i < 1000; ++i)
                     acc = acc * 1.0000001 + double(j % 7);
                 slots[j] = acc;

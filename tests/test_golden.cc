@@ -24,8 +24,6 @@
 #include "driver/context.hh"
 #include "driver/executor.hh"
 #include "driver/figures.hh"
-#include "gpusim/simconfig.hh"
-#include "support/threadbudget.hh"
 #include "support/tracemode.hh"
 
 using namespace rodinia;
@@ -113,38 +111,6 @@ TEST(Golden, OracleModeMatchesCorpusByteForByte)
         }
     }
     support::setTraceOracleModeForTest(prev);
-}
-
-/**
- * The parallel-timing-engine determinism oracle at figure scale:
- * rebuild every figure with a multi-threaded GPU timing sim (an odd
- * thread count, to dodge any accidentally-even partitioning
- * symmetry) and pin it against the same corpus the serial engine
- * reproduces. Epoch parallelism must never shift a single byte of
- * reproduced output.
- */
-TEST(Golden, ParallelSimThreadsMatchCorpusByteForByte)
-{
-    int prev_threads = gpusim::SimConfig::defaultSimThreads();
-    int prev_cap = support::ThreadBudget::instance().capacity();
-    gpusim::SimConfig::setDefaultSimThreads(3);
-    support::ThreadBudget::instance().setCapacity(8);
-    {
-        driver::Executor pool(0);
-        driver::Context ctx(nullptr, &pool);
-        for (const auto &def : driver::allFigures()) {
-            SCOPED_TRACE(def.id);
-            std::filesystem::path ref = goldenDir() / (def.id + ".txt");
-            ASSERT_TRUE(std::filesystem::exists(ref)) << ref;
-            std::string got = driver::buildFigure(def, ctx);
-            EXPECT_EQ(got, slurp(ref))
-                << "figure '" << def.id << "' differs between the "
-                << "parallel (sim-threads=3) and serial timing "
-                << "engines";
-        }
-    }
-    support::ThreadBudget::instance().setCapacity(prev_cap);
-    gpusim::SimConfig::setDefaultSimThreads(prev_threads);
 }
 
 /**

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <functional>
 #include <set>
 #include <string>
@@ -15,6 +16,7 @@
 #include "gpusim/replay.hh"
 #include "gpusim/simplecache.hh"
 #include "gpusim/timing.hh"
+#include "support/metrics.hh"
 
 using namespace rodinia;
 using namespace rodinia::gpusim;
@@ -474,6 +476,67 @@ TEST(Timing, CtaLimitsReduceLatencyHiding)
     auto ssmall = TimingSim(cfg).simulate(small);
     auto sbig = TimingSim(cfg).simulate(big);
     EXPECT_GT(double(sbig.cycles), 1.2 * double(ssmall.cycles));
+}
+
+TEST(Timing, OversubscribedCtaCountsMetric)
+{
+    // A CTA demanding 64 kB of shared memory can never fit the
+    // 32 kB SM, but the placement hatch admits it so the sim makes
+    // progress. The guard must count each such admission.
+    auto overCount = [] {
+        return support::metrics::Registry::global().snapshot().value(
+            "gpusim.oversubscribed_cta");
+    };
+    uint64_t before = overCount();
+    std::vector<float> data(64, 0.0f);
+    KernelRecording rec =
+        recordKernel(launchOf(3, 32), [&](KernelCtx &ctx) {
+            auto sh = ctx.shared<double>(8192); // 64 kB > 32 kB SM
+            sh.put(ctx, ctx.tid(), 1.0);
+            ctx.sync();
+            ctx.stg(&data[ctx.tid()],
+                    float(sh.get(ctx, ctx.tid())));
+        });
+    KernelStats st = TimingSim(SimConfig::gpgpusimDefault()).simulate(rec);
+    EXPECT_EQ(overCount(), before + 3);
+    EXPECT_GT(st.cycles, 0u);
+}
+
+TEST(OversubscribedCtaDeath, StrictModePanics)
+{
+    ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+    std::vector<float> data(32, 0.0f);
+    KernelRecording rec =
+        recordKernel(launchOf(2, 32), [&](KernelCtx &ctx) {
+            auto sh = ctx.shared<double>(8192);
+            sh.put(ctx, ctx.tid(), 1.0);
+            ctx.stg(&data[ctx.tid()], 0.0f);
+        });
+    EXPECT_DEATH(
+        {
+            setenv("RODINIA_STRICT", "1", 1);
+            TimingSim(SimConfig::gpgpusimDefault()).simulate(rec);
+        },
+        "oversubscribed");
+}
+
+TEST(Timing, DeadlockDiagnosticsNameEverySm)
+{
+    std::vector<SmSnapshot> sms(2);
+    sms[0].readyWarps = 3;
+    sms[0].waitingWarps = 1;
+    sms[0].residentCtas = 2;
+    sms[0].freeCycle = 120;
+    sms[0].nextBound = 130;
+    sms[1].nextBound = ~uint64_t(0); // idle sentinel
+    std::string msg = formatDeadlockDiagnostics(1000, 5, 12, 7, sms);
+    EXPECT_NE(msg.find("cycle 1000"), std::string::npos);
+    EXPECT_NE(msg.find("7 of 12 blocks"), std::string::npos);
+    EXPECT_NE(msg.find("next block to place: 5"), std::string::npos);
+    EXPECT_NE(msg.find("sm0:"), std::string::npos);
+    EXPECT_NE(msg.find("ready=3"), std::string::npos);
+    EXPECT_NE(msg.find("sm1:"), std::string::npos);
+    EXPECT_NE(msg.find("idle"), std::string::npos);
 }
 
 // ---------------------------------------------------------------

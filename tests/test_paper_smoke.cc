@@ -23,7 +23,6 @@
 #include "core/workload.hh"
 #include "gpusim/simconfig.hh"
 #include "gpusim/timing.hh"
-#include "support/threadbudget.hh"
 #include "trace/trace.hh"
 
 using namespace rodinia;
@@ -129,39 +128,4 @@ TEST(PaperSmokeDeep, LudGpuSimulatesAtPaperScale)
     EXPECT_GT(g.timing.cycles, 0u);
     EXPECT_GT(g.trace.threadInstructions, 0u);
     EXPECT_LE(peakRssMiB(), kRssBudgetMiB);
-}
-
-/**
- * The parallel timing engine at paper scale: record one dwarf
- * representative once, simulate it serially and with sim-threads
- * maxed (256 requested; the thread budget clamps the pool to the
- * machine), and require bit-identical stats — all inside the same
- * streaming RSS envelope. This is where a race or an epoch-boundary
- * bug that survives small inputs would surface: paper-scale traces
- * cross tens of thousands of epoch barriers.
- */
-TEST(PaperSmokeDeep, SradParallelSimMatchesSerialAtPaperScale)
-{
-    registerAllWorkloads();
-    int prev_cap = support::ThreadBudget::instance().capacity();
-    support::ThreadBudget::instance().setCapacity(8);
-    auto w = Registry::instance().create("srad");
-    gpusim::LaunchSequence seq = w->runGpu(Scale::Paper);
-    ASSERT_FALSE(seq.launches.empty());
-
-    gpusim::SimConfig serial_cfg = gpusim::SimConfig::gpgpusimDefault();
-    serial_cfg.simThreads = 1;
-    gpusim::KernelStats serial =
-        gpusim::TimingSim(serial_cfg).simulate(seq);
-
-    gpusim::SimConfig par_cfg = gpusim::SimConfig::gpgpusimDefault();
-    par_cfg.simThreads = 256; // maxed; clamped to numSms and budget
-    gpusim::KernelStats par = gpusim::TimingSim(par_cfg).simulate(seq);
-
-    EXPECT_EQ(serial, par);
-    EXPECT_EQ(gpusim::serializeKernelStats(serial),
-              gpusim::serializeKernelStats(par));
-    EXPECT_GT(serial.cycles, 0u);
-    EXPECT_LE(peakRssMiB(), kRssBudgetMiB);
-    support::ThreadBudget::instance().setCapacity(prev_cap);
 }
