@@ -626,9 +626,11 @@ Executor::parallelFor(size_t n, const std::function<void(size_t)> &fn)
     }
 
     // All drainers have settled; errors is no longer concurrently
-    // mutated. Sort by iteration index so aggregation is independent
-    // of scheduling order.
-    auto &errors = st->errors;
+    // mutated. Move it out of st so the exceptions die on this
+    // thread, not on a helper releasing the last st reference while
+    // the caller still reads what(). Sort by iteration index so
+    // aggregation is independent of scheduling order.
+    auto errors = std::move(st->errors);
     std::sort(errors.begin(), errors.end(),
               [](const auto &a, const auto &b) {
                   return a.first < b.first;

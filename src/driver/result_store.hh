@@ -2,13 +2,11 @@
  * @file
  * Content-hashed, concurrency-safe experiment result store.
  *
- * Replaces the ad-hoc `bench_cache/v4_<name>_s<scale>_t<threads>.txt`
- * naming in bench/common.cc. A result is addressed by an FNV-1a
- * digest over every field that determines its content — result
- * kind, workload name, scale, thread count, simulator-config string,
- * and a store version — so adding a key field or bumping kVersion
- * automatically invalidates stale entries instead of silently
- * returning them.
+ * A result is addressed by an FNV-1a digest over every field that
+ * determines its content — result kind, workload name, scale, thread
+ * count, simulator-config string, and a store version — so adding a
+ * key field or bumping kVersion automatically invalidates stale
+ * entries instead of silently returning them.
  *
  * Writes are crash-safe and safe under concurrent writers: the
  * payload goes to a unique temporary in the same directory, is

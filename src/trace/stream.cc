@@ -135,6 +135,11 @@ EventStream::Cursor::openNextChunk()
             if (sink == nullptr || !sink->get(c.spillKey, *fetched))
                 panic("EventStream: spilled trace chunk ",
                       c.spillKey, " unavailable");
+            // The blob came back from disk: only bytes that still
+            // hash to their key are safe to decode unbounded.
+            if (chunkContentHash(*fetched) != c.spillKey)
+                panic("EventStream: spilled trace chunk ", c.spillKey,
+                      " corrupt");
             const uint8_t *p =
                 reinterpret_cast<const uint8_t *>(fetched->data());
             uint32_t bn = uint32_t(support::getVarint(p));
@@ -169,8 +174,6 @@ EventStream::Cursor::openNextChunk()
 uint64_t
 EventStream::encodedBytes() const
 {
-    if (materializedMode)
-        return count * sizeof(MemEvent);
     uint64_t bytes = 0;
     for (const auto &c : chunks) {
         if (c.spilled)

@@ -24,7 +24,6 @@
 #include "driver/context.hh"
 #include "driver/executor.hh"
 #include "driver/figures.hh"
-#include "support/tracemode.hh"
 
 using namespace rodinia;
 
@@ -81,36 +80,6 @@ TEST(Golden, FiguresMatchCorpusByteForByte)
             << "reference; if the change is intended, regenerate the "
             << "corpus and review the diff";
     }
-}
-
-/**
- * The streaming-vs-materialized byte-equivalence oracle. The normal
- * corpus test above runs with the default compact streaming traces;
- * this one rebuilds every figure with the materialized (oracle)
- * representation — the pre-streaming per-event structs — and pins it
- * against the same corpus. Together the two tests prove the two
- * representations agree byte-for-byte on all figures at full scale:
- * any encode/decode bug in EventStream or LaneStream that survives
- * the unit tests breaks one of them.
- */
-TEST(Golden, OracleModeMatchesCorpusByteForByte)
-{
-    bool prev = support::setTraceOracleModeForTest(true);
-    {
-        driver::Executor pool(0);
-        driver::Context ctx(nullptr, &pool);
-        for (const auto &def : driver::allFigures()) {
-            SCOPED_TRACE(def.id);
-            std::filesystem::path ref = goldenDir() / (def.id + ".txt");
-            ASSERT_TRUE(std::filesystem::exists(ref)) << ref;
-            std::string got = driver::buildFigure(def, ctx);
-            EXPECT_EQ(got, slurp(ref))
-                << "figure '" << def.id << "' differs between the "
-                << "materialized oracle traces and the golden corpus "
-                << "(which the streaming representation reproduces)";
-        }
-    }
-    support::setTraceOracleModeForTest(prev);
 }
 
 /**

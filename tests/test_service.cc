@@ -53,6 +53,16 @@ using service::Verdict;
 
 namespace {
 
+/** prefix + decimal i, built by appending: GCC 12 at -O3 reports a
+ *  false -Wrestrict in the inlined "literal" + std::string. */
+std::string
+numbered(const char *prefix, int i)
+{
+    std::string s = prefix;
+    s += std::to_string(i);
+    return s;
+}
+
 /** Fresh scratch directory under the system temp dir. */
 class ScratchDir
 {
@@ -856,12 +866,12 @@ TEST(Service, ColdQueueCapSheds)
     // are admitted, and at least one must shed as overload.
     for (int i = 0; i < 6; ++i)
         ASSERT_TRUE(c.sendSim(
-            "f" + std::to_string(i), "bfs", "full",
+            numbered("f", i), "bfs", "full",
             "{\"gmemLatencyCycles\":" + std::to_string(520 + i) +
                 "}"));
     int served = 0, overload = 0;
     for (int i = 0; i < 6; ++i) {
-        Outcome out = c.await("f" + std::to_string(i));
+        Outcome out = c.await(numbered("f", i));
         if (out.ok())
             ++served;
         else if (out.reason == "overload")
