@@ -48,18 +48,6 @@ allCpuWorkloads()
     return all;
 }
 
-gpusim::LaunchSequence
-recordGpuLaunch(const std::string &name, core::Scale scale, int version)
-{
-    core::registerAllWorkloads();
-    auto w = core::Registry::instance().create(name);
-    if (w->gpuVersions() < 1)
-        fatal("workload '", name, "' has no GPU implementation");
-    if (version <= 0)
-        version = w->gpuVersions(); // shipped (most optimized)
-    return w->runGpu(scale, version);
-}
-
 namespace {
 
 /**
@@ -237,30 +225,68 @@ Context::gpu(const std::string &name, core::Scale scale, int version)
     }
     std::call_once(entry->once, [&] {
         entry->value = recordGpuLaunch(name, scale, version);
+        support::metrics::count("gpusim.recordings");
     });
     return entry->value;
 }
 
-uint64_t
-Context::recordingHash(const std::string &name, core::Scale scale,
-                       int version)
+Context::RecipeEntry &
+Context::recipeEntry(const std::string &name, core::Scale scale,
+                     int version)
 {
     std::ostringstream keyName;
     keyName << name << "/s" << int(scale) << "/v" << version;
-    Entry<uint64_t> *entry;
+    RecipeEntry *entry;
     {
         std::lock_guard<std::mutex> lock(mu);
-        auto &slot = gpuHashEntries[keyName.str()];
+        auto &slot = recipeEntries[keyName.str()];
         if (!slot)
-            slot = std::make_unique<Entry<uint64_t>>();
+            slot = std::make_unique<RecipeEntry>();
         entry = slot.get();
     }
     std::call_once(entry->once, [&] {
-        entry->value = gpusim::contentHash(gpu(name, scale, version));
+        auto t0 = std::chrono::steady_clock::now();
+        auto key = gpuRecipeKey(name, scale, version);
+        if (store) {
+            if (auto payload = store->load(key)) {
+                if (parseGpuRecipe(*payload, entry->value))
+                    entry->fromStore = true;
+                else
+                    store->discard(key);
+            }
+        }
+        if (entry->fromStore)
+            support::metrics::count("gpusim.recipes_served");
+        else
+            entry->value.contentHash =
+                gpusim::contentHash(gpu(name, scale, version));
+        if (auto *tc = TraceCollector::active())
+            tc->record("gpusim", "recipe",
+                       TraceArgs()
+                           .str("key", keyName.str())
+                           .str("source", entry->fromStore ? "store"
+                                                           : "recorded")
+                           .json(),
+                       t0, std::chrono::steady_clock::now());
         std::lock_guard<std::mutex> lock(mu);
-        doneKeys.insert("rhash:" + keyName.str());
+        doneKeys.insert("recipe:" + keyName.str());
     });
-    return entry->value;
+    return *entry;
+}
+
+const GpuRecipe &
+Context::recipe(const std::string &name, core::Scale scale, int version)
+{
+    RecipeEntry &entry = recipeEntry(name, scale, version);
+    if (!entry.fromStore)
+        std::call_once(entry.complete, [&] {
+            entry.value.trace =
+                gpusim::analyzeTrace(gpu(name, scale, version));
+            if (store)
+                store->store(gpuRecipeKey(name, scale, version),
+                             serializeGpuRecipe(entry.value));
+        });
+    return entry.value;
 }
 
 bool
@@ -276,11 +302,11 @@ Context::gpuStatsWarm(const std::string &name, core::Scale scale,
         std::lock_guard<std::mutex> lock(mu);
         if (doneKeys.count("stats:" + statsKey))
             return true;
-        if (!doneKeys.count("rhash:" + recName.str()))
+        if (!doneKeys.count("recipe:" + recName.str()))
             return false;
         // Completed entries are immutable, so the value is readable
         // outside its call_once once the done key is present.
-        recHash = gpuHashEntries.at(recName.str())->value;
+        recHash = recipeEntries.at(recName.str())->value.contentHash;
     }
     if (!store || !store->enabled())
         return false;
@@ -307,11 +333,11 @@ Context::gpuStats(const std::string &name, core::Scale scale,
     }
     std::call_once(entry->once, [&] {
         auto span0 = std::chrono::steady_clock::now();
-        // The recording is needed even on a store hit: its content
-        // hash is part of the key (a changed recording must not be
-        // served stale stats).
-        const gpusim::LaunchSequence &seq = gpu(name, scale, version);
-        uint64_t rec_hash = recordingHash(name, scale, version);
+        // The recording's content hash is part of the key (a changed
+        // recording must not be served stale stats); the recipe
+        // supplies it without recording on a warm run.
+        uint64_t rec_hash =
+            recipeEntry(name, scale, version).value.contentHash;
         auto key = gpuStatsKey(name, scale, version, fp, rec_hash);
         bool fromStore = false;
         if (store) {
@@ -326,6 +352,8 @@ Context::gpuStats(const std::string &name, core::Scale scale,
             support::FaultInjector::instance().maybeStall(
                 "sim:" + keyName.str());
             support::checkpointCancellation();
+            const gpusim::LaunchSequence &seq =
+                gpu(name, scale, version);
             auto t0 = std::chrono::steady_clock::now();
             gpusim::TimingSim sim(config);
             entry->value = sim.simulate(seq);

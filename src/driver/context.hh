@@ -79,20 +79,35 @@ class Context
     std::vector<core::CpuCharacterization>
     allCpu(core::Scale scale, int threads = 8);
 
-    /** One workload's recorded launch sequence (memoized). */
-    const gpusim::LaunchSequence &
-    gpu(const std::string &name, core::Scale scale, int version = 0);
+    /**
+     * One recording's recipe entry: its content hash and trace
+     * statistics, keyed by (workload, scale, version, source digest),
+     * which together decide the recording's bytes. Memoized and
+     * store-cached: a warm run reads the entry and never records.
+     * On a miss the sequence is recorded once through gpu(), hashed,
+     * analyzed once, and the entry is published. A payload that
+     * fails to parse is discarded and recomputed.
+     */
+    const GpuRecipe &recipe(const std::string &name, core::Scale scale,
+                            int version = 0);
 
     /**
      * Timing-simulation stats for one workload under one SimConfig
      * (memoized + store-cached). Keyed by the recording's content
-     * hash plus the config fingerprint, so identical (recording,
-     * config) pairs — within this process or across processes —
-     * simulate exactly once; figures that share a configuration
-     * (e.g. Fig. 1's 28-SM point and Fig. 4's 8-channel point)
-     * share the result. Safe to call concurrently from parallelFor
-     * iterations: each distinct key simulates under its own
-     * call_once.
+     * hash (from its recipe) plus the config fingerprint, so
+     * identical (recording, config) pairs — within this process or
+     * across processes — simulate exactly once; figures that share
+     * a configuration (e.g. Fig. 1's 28-SM point and Fig. 4's
+     * 8-channel point) share the result. The recording itself is
+     * needed only when the stats are not in the store. Safe to call
+     * concurrently from parallelFor iterations: each distinct key
+     * simulates under its own call_once.
+     *
+     * gpuStats reads only the recipe's hash: it neither analyzes
+     * the trace nor publishes the recipe, so a simulation request's
+     * only store write is its stats entry. Recipes are published by
+     * recipe() callers (the job graph's recording jobs and the
+     * trace-statistics figures).
      */
     const gpusim::KernelStats &
     gpuStats(const std::string &name, core::Scale scale, int version,
@@ -101,14 +116,14 @@ class Context
     /**
      * Would gpuStats() for this key be served without running a
      * simulation? True when the stats are already memoized in this
-     * Context, or when the recording's content hash is memoized and
-     * the result store holds a published entry for the key. A cheap,
+     * Context, or when the recording's recipe is memoized and the
+     * result store holds a published entry for the key. A cheap,
      * non-blocking probe (one map lookup, at most one stat(2)) —
      * never records, hashes, or simulates — used by the experiment
      * service to route requests onto the warm lane. A false negative
-     * (e.g. store entry present but the recording not yet memoized)
-     * is safe: the request just takes the cold lane and still hits
-     * the store.
+     * (e.g. store entry present but the recipe not yet memoized) is
+     * safe: the request just takes the cold lane and still hits the
+     * store.
      */
     bool gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config);
@@ -230,18 +245,34 @@ class Context
     trace::ChunkSink *prevSpillSink = nullptr;
     uint32_t prevSpillResident = 0;
 
-    /** Content hash of a memoized recording (memoized itself: the
-     *  digest walks every event, so figures sharing a recording
-     *  should not rehash it per config). */
-    uint64_t recordingHash(const std::string &name, core::Scale scale,
-                           int version);
+    /** One workload's recorded launch sequence (memoized). Only a
+     *  recipe miss or a simulation reads it. */
+    const gpusim::LaunchSequence &
+    gpu(const std::string &name, core::Scale scale, int version);
+
+    /** A recipe memo slot. `once` fills the whole entry from the
+     *  store, or on a miss only the content hash; `complete` (first
+     *  recipe() call) then analyzes the recording and publishes. */
+    struct RecipeEntry
+    {
+        std::once_flag once;
+        GpuRecipe value;
+        bool fromStore = false;
+        std::once_flag complete;
+    };
+
+    /** The memo behind recipe() and gpuStats(): loads the entry, or
+     *  records and hashes. Never analyzes or publishes, so a
+     *  simulation that needs only the hash pays for neither. */
+    RecipeEntry &recipeEntry(const std::string &name, core::Scale scale,
+                             int version);
 
     mutable std::mutex mu;
     std::map<std::string, std::unique_ptr<Entry<core::CpuCharacterization>>>
         cpuEntries;
     std::map<std::string, std::unique_ptr<Entry<gpusim::LaunchSequence>>>
         gpuEntries;
-    std::map<std::string, std::unique_ptr<Entry<uint64_t>>> gpuHashEntries;
+    std::map<std::string, std::unique_ptr<RecipeEntry>> recipeEntries;
     std::map<std::string, std::unique_ptr<Entry<gpusim::KernelStats>>>
         gpuStatsEntries;
     std::vector<SweepTelemetry> sweepTelemetry;
@@ -251,7 +282,7 @@ class Context
      *  holds one ref, leader + followers hold their own, so a flight
      *  outlives its registry entry as long as anyone waits on it. */
     std::map<std::string, std::shared_ptr<SimFlight>> simFlights;
-    /** Keys whose call_once completed ("stats:..."/"rhash:...") —
+    /** Keys whose call_once completed ("stats:..."/"recipe:...") —
      *  the queryable side of the once_flag, for gpuStatsWarm. */
     std::set<std::string> doneKeys;
 };

@@ -180,7 +180,9 @@ buildFig1(Context &ctx)
 }
 
 // ---------------------------------------------------------------
-// Figure 2: memory-operation breakdown by space.
+// Figure 2: memory-operation breakdown by space. Figs. 2/3 and
+// Table III's mix columns read the recordings' trace statistics from
+// their recipes, so a warm run neither records nor analyzes.
 // ---------------------------------------------------------------
 
 std::string
@@ -191,9 +193,7 @@ buildFig2(Context &ctx)
     t.setHeader({"Benchmark", "Shared", "Tex", "Const", "Param",
                  "Global/Local"});
     for (const auto &[name, label] : figureOrder()) {
-        const auto &seq = ctx.gpu(name, primaryScale());
-        auto stats = gpusim::analyzeTrace(seq);
-        auto f = stats.memOpFractions();
+        auto f = ctx.recipe(name, primaryScale()).trace.memOpFractions();
         double globloc =
             f[size_t(Space::Global)] + f[size_t(Space::Local)];
         t.addRow({label, Table::pct(f[size_t(Space::Shared)]),
@@ -216,8 +216,7 @@ buildFig3(Context &ctx)
     t.setHeader({"Benchmark", "1-8", "9-16", "17-24", "25-32",
                  "avg active"});
     for (const auto &[name, label] : figureOrder()) {
-        const auto &seq = ctx.gpu(name, primaryScale());
-        auto stats = gpusim::analyzeTrace(seq);
+        const auto &stats = ctx.recipe(name, primaryScale()).trace;
         auto f = stats.occupancyFractions();
         t.addRow({label, Table::pct(f[0]), Table::pct(f[1]),
                   Table::pct(f[2]), Table::pct(f[3]),
@@ -336,9 +335,8 @@ buildTable3(Context &ctx)
         slots[i].st =
             ctx.gpuStats(name, primaryScale(), version,
                          gpusim::SimConfig::gpgpusimDefault());
-        slots[i].mix = gpusim::analyzeTrace(
-                           ctx.gpu(name, primaryScale(), version))
-                           .memOpFractions();
+        slots[i].mix =
+            ctx.recipe(name, primaryScale(), version).trace.memOpFractions();
     });
 
     Table t("Table III: incrementally optimized SRAD and Leukocyte");

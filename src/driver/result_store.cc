@@ -8,6 +8,7 @@
 #include <sstream>
 #include <thread>
 
+#include "driver/recipe_digest.hh"
 #include "driver/tracing.hh"
 #include "support/faultinject.hh"
 #include "support/hash.hh"
@@ -310,6 +311,60 @@ gpuStatsKey(const std::string &workload, core::Scale scale,
         << recording_hash;
     key.config = cfg.str();
     return key;
+}
+
+const char *
+recipeSourceDigest()
+{
+    return RODINIA_RECIPE_SOURCE_DIGEST;
+}
+
+ResultStore::Key
+gpuRecipeKey(const std::string &workload, core::Scale scale,
+             int version, const std::string &source_digest)
+{
+    ResultStore::Key key;
+    key.kind = "gpurecipe";
+    key.workload = workload;
+    key.scale = int(scale);
+    key.threads = version;
+    key.config = source_digest;
+    return key;
+}
+
+std::string
+serializeGpuRecipe(const GpuRecipe &r)
+{
+    const auto &t = r.trace;
+    std::ostringstream outf;
+    outf << "gpurecipe " << std::hex << r.contentHash << std::dec
+         << "\n"
+         << t.warpInstructions << " " << t.threadInstructions << "\n";
+    for (uint64_t b : t.occupancyBuckets)
+        outf << b << " ";
+    outf << "\n";
+    for (uint64_t m : t.memOps)
+        outf << m << " ";
+    outf << "\nend\n";
+    return outf.str();
+}
+
+bool
+parseGpuRecipe(const std::string &payload, GpuRecipe &out)
+{
+    std::istringstream in(payload);
+    std::string tag, end;
+    auto &t = out.trace;
+    in >> tag >> std::hex >> out.contentHash >> std::dec;
+    if (tag != "gpurecipe")
+        return false;
+    in >> t.warpInstructions >> t.threadInstructions;
+    for (auto &b : t.occupancyBuckets)
+        in >> b;
+    for (auto &m : t.memOps)
+        in >> m;
+    in >> end;
+    return bool(in) && end == "end";
 }
 
 std::string

@@ -29,6 +29,7 @@
 #include <string>
 
 #include "core/characterize.hh"
+#include "gpusim/replay.hh"
 
 namespace rodinia {
 namespace driver {
@@ -135,6 +136,48 @@ ResultStore::Key gpuStatsKey(const std::string &workload,
                              core::Scale scale, int version,
                              const std::string &config_fingerprint,
                              uint64_t recording_hash);
+
+/**
+ * What a GPU figure needs of a recording without recording it: the
+ * recording's content hash (part of every gpuStatsKey) and its
+ * warp-level trace statistics (Figs. 2/3, Table III's mix columns).
+ */
+struct GpuRecipe
+{
+    uint64_t contentHash = 0;
+    gpusim::TraceStats trace;
+
+    bool operator==(const GpuRecipe &) const = default;
+};
+
+/**
+ * Digest of the sources that decide what a GPU recording contains
+ * (src/{core,workloads,gpusim,trace,support,cachesim}) plus the
+ * compiler and build type, generated at build time (see
+ * src/driver/recipe_digest.cmake). 16 hex digits.
+ */
+const char *recipeSourceDigest();
+
+/**
+ * Key for a GPU recipe entry: (workload, scale, version) plus the
+ * source digest. A rebuilt recorder or workload model changes the
+ * digest, so an old entry is never referenced again. The kernel
+ * version rides in the threads slot, as in gpuStatsKey.
+ */
+ResultStore::Key gpuRecipeKey(const std::string &workload,
+                              core::Scale scale, int version,
+                              const std::string &source_digest =
+                                  recipeSourceDigest());
+
+/** Serialize a recipe to the store payload format. */
+std::string serializeGpuRecipe(const GpuRecipe &r);
+
+/**
+ * Parse a recipe payload. The payload ends in an "end" marker, so a
+ * truncated entry fails to parse instead of losing trailing digits.
+ * @return false if the payload is malformed (treated as a miss)
+ */
+bool parseGpuRecipe(const std::string &payload, GpuRecipe &out);
 
 /** Serialize a CPU characterization to the store payload format. */
 std::string serializeCpuChar(const core::CpuCharacterization &c);

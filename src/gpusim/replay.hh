@@ -143,6 +143,8 @@ struct TraceStats
     std::array<double, 4> occupancyFractions() const;
     /** Fraction of memory ops in each space. */
     std::array<double, 7> memOpFractions() const;
+
+    bool operator==(const TraceStats &) const = default;
 };
 
 /** Compute trace statistics for a whole recording. */

@@ -2,18 +2,23 @@
  * @file
  * Driver subsystem tests: job-graph execution order, dependency
  * failure propagation, executor determinism across thread counts,
- * and ResultStore hit/miss/version-invalidation behavior.
+ * ResultStore hit/miss/version-invalidation behavior, and the
+ * Context's memoized CPU characterizations, GPU stats and GPU
+ * recording recipes.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "driver/context.hh"
@@ -21,6 +26,7 @@
 #include "driver/figures.hh"
 #include "driver/job.hh"
 #include "driver/result_store.hh"
+#include "support/metrics.hh"
 
 using namespace rodinia;
 using driver::Executor;
@@ -267,6 +273,16 @@ TEST(ResultStore, KeyFieldsChangeThePath)
     config.config = "simd=16";
     EXPECT_NE(store.pathFor(base), store.pathFor(config));
 
+    // A GPU recipe key moves with the source digest and the version.
+    auto recipe = driver::gpuRecipeKey("srad", core::Scale::Tiny, 2);
+    EXPECT_EQ(recipe.config, driver::recipeSourceDigest());
+    EXPECT_NE(store.pathFor(recipe),
+              store.pathFor(driver::gpuRecipeKey(
+                  "srad", core::Scale::Tiny, 2, "0000000000000000")));
+    EXPECT_NE(store.pathFor(recipe),
+              store.pathFor(driver::gpuRecipeKey(
+                  "srad", core::Scale::Tiny, 1)));
+
     store.store(base, "one");
     EXPECT_FALSE(store.load(otherScale).has_value());
     EXPECT_FALSE(store.load(otherThreads).has_value());
@@ -429,6 +445,30 @@ TEST(ResultStore, CpuCharRoundTrip)
     auto full = driver::serializeCpuChar(c);
     EXPECT_FALSE(
         driver::parseCpuChar(full.substr(0, full.size() / 2), bad));
+}
+
+TEST(ResultStore, GpuRecipeRoundTrip)
+{
+    driver::GpuRecipe r;
+    r.contentHash = 0xfedcba9876543210ull;
+    r.trace.warpInstructions = 12345;
+    r.trace.threadInstructions = 388000;
+    r.trace.occupancyBuckets = {1, 2, 3, 4};
+    r.trace.memOps = {5, 6, 7, 8, 9, 10, 11};
+    std::string full = driver::serializeGpuRecipe(r);
+
+    driver::GpuRecipe back;
+    ASSERT_TRUE(driver::parseGpuRecipe(full, back));
+    EXPECT_EQ(back, r);
+    EXPECT_EQ(driver::serializeGpuRecipe(back), full);
+
+    // Every proper prefix that cuts into the numbers or the end
+    // marker fails, so truncation never serves shortened digits.
+    driver::GpuRecipe bad;
+    for (size_t n = 0; n + 1 < full.size(); ++n)
+        EXPECT_FALSE(driver::parseGpuRecipe(full.substr(0, n), bad))
+            << n;
+    EXPECT_FALSE(driver::parseGpuRecipe("cpuchar x 1\n", bad));
 }
 
 // ---------------------------------------------------------------
@@ -654,4 +694,247 @@ TEST(ParallelGpuSim, ConcurrentSimulationsMatchSerial)
 
     for (size_t i = 0; i < cfgs.size(); ++i)
         EXPECT_TRUE(pooled[i] == serial[i]) << "config " << i;
+}
+
+// ---------------------------------------------------------------
+// GpuRecipe: recipe-keyed recordings (a warm run records nothing)
+// ---------------------------------------------------------------
+
+namespace {
+
+uint64_t
+metric(const char *name)
+{
+    return support::metrics::Registry::global().snapshot().value(name);
+}
+
+/** Sets the primary figure scale for one test, restoring it after. */
+class PrimaryScale
+{
+  public:
+    explicit PrimaryScale(core::Scale s) : prev(driver::primaryScale())
+    {
+        driver::setPrimaryScale(s);
+    }
+    ~PrimaryScale() { driver::setPrimaryScale(prev); }
+
+  private:
+    core::Scale prev;
+};
+
+/** The distinct GPU dependencies of the given figures (all if none),
+ *  in first-use order. */
+std::vector<driver::GpuDep>
+gpuDepsOf(const std::vector<std::string> &ids = {})
+{
+    std::vector<driver::GpuDep> deps;
+    std::set<std::tuple<std::string, int, int>> seen;
+    for (const auto &def : driver::allFigures()) {
+        if (!ids.empty() &&
+            std::find(ids.begin(), ids.end(), def.id) == ids.end())
+            continue;
+        for (const auto &d : def.gpuDeps)
+            if (seen.insert({d.workload, int(d.scale), d.version})
+                    .second)
+                deps.push_back(d);
+    }
+    return deps;
+}
+
+/** What `experiments --figure <ids>` does in one Context: the
+ *  recording jobs' recipe() calls, then each figure in order. */
+std::string
+runFigures(driver::Context &ctx, const std::vector<std::string> &ids)
+{
+    for (const auto &d : gpuDepsOf(ids))
+        ctx.recipe(d.workload, d.scale, d.version);
+    std::string out;
+    for (const auto &id : ids)
+        out += driver::findFigure(id)->build(ctx);
+    return out;
+}
+
+} // namespace
+
+TEST(GpuRecipe, WarmFiguresAreByteIdenticalAndRecordNothing)
+{
+    PrimaryScale tiny(core::Scale::Tiny);
+    ScratchDir scratch("recipewarm");
+    const std::vector<std::string> ids = {"fig1", "fig2", "fig3",
+                                          "table3"};
+    uint64_t rec0 = metric("gpusim.recordings");
+    std::string cold;
+    {
+        ResultStore store(scratch.dir());
+        driver::Context ctx(&store);
+        cold = runFigures(ctx, ids);
+    }
+    // Cold: each of the 12 figure-order and 8 Table III sequences is
+    // recorded exactly once, however many figures read it.
+    EXPECT_EQ(metric("gpusim.recordings") - rec0, 20u);
+
+    uint64_t rec1 = metric("gpusim.recordings");
+    uint64_t served1 = metric("gpusim.recipes_served");
+    uint64_t sims1 = metric("gpusim.sims_run");
+    ResultStore store(scratch.dir());
+    Executor ex(4);
+    driver::Context ctx(&store, &ex);
+    std::string warm = runFigures(ctx, ids);
+    EXPECT_EQ(warm, cold);
+    EXPECT_EQ(metric("gpusim.recordings"), rec1);
+    EXPECT_EQ(metric("gpusim.sims_run"), sims1);
+    EXPECT_EQ(metric("gpusim.recipes_served") - served1, 20u);
+}
+
+TEST(Context, ConcurrentRecipeAndStatsCallsShareOneRecording)
+{
+    // Sim-path (hash only) and recipe() callers race on one key: one
+    // recording, one analysis, one published entry, one memo slot.
+    ScratchDir scratch("recipeconcurrent");
+    ResultStore store(scratch.dir());
+    Executor ex(4);
+    driver::Context ctx(&store, &ex);
+    uint64_t rec0 = metric("gpusim.recordings");
+    std::vector<const driver::GpuRecipe *> seen(16);
+    ctx.parallelFor(seen.size(), [&](size_t i) {
+        if (i % 2)
+            ctx.gpuStats("kmeans", core::Scale::Tiny, 0,
+                         gpusim::SimConfig::shaders(4));
+        seen[i] = &ctx.recipe("kmeans", core::Scale::Tiny, 0);
+    });
+    EXPECT_EQ(metric("gpusim.recordings") - rec0, 1u);
+    for (const auto *r : seen)
+        EXPECT_EQ(r, seen[0]);
+    auto payload =
+        store.load(driver::gpuRecipeKey("kmeans", core::Scale::Tiny, 0));
+    ASSERT_TRUE(payload.has_value());
+    EXPECT_EQ(*payload, driver::serializeGpuRecipe(*seen[0]));
+}
+
+TEST(GpuRecipe, EntryUnderAnotherSourceDigestForcesARerecord)
+{
+    ScratchDir scratch("recipedigest");
+    ResultStore store(scratch.dir());
+    // What an older build of the recorder would have published: a
+    // recipe whose numbers no longer describe today's recording.
+    const std::string otherDigest = "0000000000000000";
+    ASSERT_NE(otherDigest, driver::recipeSourceDigest());
+    driver::GpuRecipe stale;
+    stale.contentHash = 0x5ca1ab1e;
+    stale.trace.warpInstructions = 1;
+    ASSERT_TRUE(store.store(
+        driver::gpuRecipeKey("kmeans", core::Scale::Tiny, 0,
+                             otherDigest),
+        driver::serializeGpuRecipe(stale)));
+
+    uint64_t rec0 = metric("gpusim.recordings");
+    uint64_t served0 = metric("gpusim.recipes_served");
+    driver::Context ctx(&store);
+    const auto &r = ctx.recipe("kmeans", core::Scale::Tiny, 0);
+    EXPECT_EQ(metric("gpusim.recordings") - rec0, 1u);
+    EXPECT_EQ(metric("gpusim.recipes_served"), served0);
+
+    auto seq = driver::recordGpuLaunch("kmeans", core::Scale::Tiny, 0);
+    EXPECT_EQ(r.contentHash, gpusim::contentHash(seq));
+    EXPECT_EQ(r.trace, gpusim::analyzeTrace(seq));
+
+    // The re-record was published under the current digest, so the
+    // next process serves it.
+    driver::Context ctx2(&store);
+    EXPECT_EQ(ctx2.recipe("kmeans", core::Scale::Tiny, 0), r);
+    EXPECT_EQ(metric("gpusim.recordings") - rec0, 1u);
+    EXPECT_EQ(metric("gpusim.recipes_served") - served0, 1u);
+}
+
+TEST(GpuRecipe, StoredRecipesMatchFreshRecordings)
+{
+    // The warm path trusts a stored hash instead of re-deriving it.
+    // This oracle checks that trust for every recording the figures
+    // depend on: the stored hash and trace statistics equal those of
+    // a fresh recording.
+    PrimaryScale tiny(core::Scale::Tiny);
+    ScratchDir scratch("recipeoracle");
+    auto deps = gpuDepsOf();
+    ASSERT_FALSE(deps.empty());
+    {
+        ResultStore store(scratch.dir());
+        Executor ex(4);
+        driver::Context ctx(&store, &ex);
+        ctx.parallelFor(deps.size(), [&](size_t i) {
+            ctx.recipe(deps[i].workload, deps[i].scale, deps[i].version);
+        });
+    }
+    ResultStore store(scratch.dir());
+    for (const auto &d : deps) {
+        std::string what = d.workload + "/s" +
+                           std::to_string(int(d.scale)) + "/v" +
+                           std::to_string(d.version);
+        auto payload = store.load(
+            driver::gpuRecipeKey(d.workload, d.scale, d.version));
+        ASSERT_TRUE(payload.has_value()) << what;
+        driver::GpuRecipe stored;
+        ASSERT_TRUE(driver::parseGpuRecipe(*payload, stored)) << what;
+        auto seq = driver::recordGpuLaunch(d.workload, d.scale,
+                                           d.version);
+        EXPECT_EQ(stored.contentHash, gpusim::contentHash(seq)) << what;
+        EXPECT_EQ(stored.trace, gpusim::analyzeTrace(seq)) << what;
+    }
+}
+
+TEST(RecipeCorruption, TruncatedAndGarbagePayloadsAreDiscarded)
+{
+    PrimaryScale tiny(core::Scale::Tiny);
+    ScratchDir scratch("recipecorrupt");
+    const std::vector<std::string> ids = {"fig2", "fig3"};
+    const gpusim::SimConfig cfg = gpusim::SimConfig::shaders(4);
+    std::string cold;
+    gpusim::KernelStats coldStats;
+    {
+        ResultStore store(scratch.dir());
+        driver::Context ctx(&store);
+        cold = runFigures(ctx, ids);
+        coldStats = ctx.gpuStats("kmeans", core::Scale::Tiny, 0, cfg);
+    }
+
+    ResultStore store(scratch.dir());
+    auto truncated =
+        store.pathFor(driver::gpuRecipeKey("bfs", core::Scale::Tiny, 0));
+    auto garbled = store.pathFor(
+        driver::gpuRecipeKey("kmeans", core::Scale::Tiny, 0));
+    std::string bytes;
+    {
+        std::ifstream in(truncated, std::ios::binary);
+        bytes.assign(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+    }
+    ASSERT_GT(bytes.size(), 8u);
+    {
+        std::ofstream out(truncated,
+                          std::ios::binary | std::ios::trunc);
+        out << bytes.substr(0, bytes.size() / 2);
+    }
+    {
+        std::ofstream out(garbled, std::ios::binary | std::ios::trunc);
+        out << "gpurecipe \x01\xff not a recipe \x7f";
+    }
+
+    uint64_t discards0 = metric("store.discards");
+    uint64_t rec0 = metric("gpusim.recordings");
+    uint64_t sims0 = metric("gpusim.sims_run");
+    {
+        driver::Context ctx(&store);
+        EXPECT_EQ(runFigures(ctx, ids), cold);
+        // The re-recorded kmeans hash keys the same stats entry.
+        EXPECT_TRUE(ctx.gpuStats("kmeans", core::Scale::Tiny, 0, cfg) ==
+                    coldStats);
+    }
+    EXPECT_EQ(metric("store.discards") - discards0, 2u);
+    EXPECT_EQ(metric("gpusim.recordings") - rec0, 2u);
+    EXPECT_EQ(metric("gpusim.sims_run"), sims0);
+
+    // The recompute republished both entries: the next run is clean.
+    driver::Context ctx(&store);
+    EXPECT_EQ(runFigures(ctx, ids), cold);
+    EXPECT_EQ(metric("store.discards") - discards0, 2u);
+    EXPECT_EQ(metric("gpusim.recordings") - rec0, 2u);
 }

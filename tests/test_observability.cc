@@ -380,7 +380,10 @@ TEST(Observability, ColdRunCoversComputePaths)
     std::string metrics = slurp(m);
     EXPECT_NE(metrics.find("\"sims_run\": 9"), std::string::npos)
         << metrics;
-    EXPECT_NE(metrics.find("\"publishes\": 9"), std::string::npos)
+    // 9 sim results plus the 3 recipes the recording jobs publish.
+    EXPECT_NE(metrics.find("\"publishes\": 12"), std::string::npos)
+        << metrics;
+    EXPECT_NE(metrics.find("\"recordings\": 3"), std::string::npos)
         << metrics;
     // Volatile latency histograms recorded real samples.
     EXPECT_NE(metrics.find("\"publish_us\""), std::string::npos);
@@ -401,8 +404,12 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     // job runs some kmeans sims (publishing them to the store —
     // durable side effects are not transactional), then fails on
     // the deadline. Its metric transaction must be dropped whole:
-    // --stats reports zero sims and zero store traffic, not the
-    // partial counts the job accumulated before dying.
+    // --stats reports zero sims and no store traffic of its own,
+    // not the partial counts the job accumulated before dying. The
+    // three recording jobs succeed, so their recipe traffic commits:
+    // run 1 records the recipes (3 store misses), run 2 serves them
+    // (3 hits). A figure-job load surviving the drop would add to
+    // those counts.
     std::vector<std::string> args = {
         "--figure", "ablation_coalesce", "--jobs", "1",
         "--deadline", "2500", "--keep-going", "--stats",
@@ -415,7 +422,11 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     EXPECT_NE(r1.out.find("0 sims run / 0 store-served"),
               std::string::npos)
         << r1.out;
-    EXPECT_NE(r1.out.find("result store: 0 hits / 0 misses / 0 "
+    EXPECT_NE(r1.out.find("GPU recordings: 3 recorded / 0 "
+                          "recipe-served"),
+              std::string::npos)
+        << r1.out;
+    EXPECT_NE(r1.out.find("result store: 0 hits / 3 misses / 0 "
                           "publish failures / 0 orphaned tmp "
                           "collected"),
               std::string::npos)
@@ -436,11 +447,34 @@ TEST(KeepGoing, StatsDropFailedJobsCountersWholesale)
     EXPECT_TRUE(published);
 
     // Deterministic failure accounting: run 2 serves those sims
-    // from the store inside the same doomed job, drops them with
-    // the same transaction, and prints byte-identical stats.
+    // from the store inside the same doomed job and drops them with
+    // the same transaction. Only the two recipe count lines differ
+    // from run 1; the rest is byte-identical. Neither run prints the
+    // nothing-recorded hint: the recording jobs completed in both,
+    // whether they recorded or were recipe-served.
     RunResult r2 =
         runExperiments(args, "stall=sim:cfd@60000", cache);
-    EXPECT_EQ(r1.out, r2.out);
+    EXPECT_NE(r2.out.find("GPU recordings: 0 recorded / 3 "
+                          "recipe-served"),
+              std::string::npos)
+        << r2.out;
+    EXPECT_NE(r2.out.find("result store: 3 hits / 0 misses / 0 "
+                          "publish failures / 0 orphaned tmp "
+                          "collected"),
+              std::string::npos)
+        << r2.out;
+    EXPECT_EQ(r1.out.find("hint:"), std::string::npos) << r1.out;
+    EXPECT_EQ(r2.out.find("hint:"), std::string::npos) << r2.out;
+    auto withoutRecipeLines = [](const std::string &out) {
+        std::istringstream in(out);
+        std::string line, kept;
+        while (std::getline(in, line))
+            if (line.rfind("GPU recordings:", 0) != 0 &&
+                line.rfind("result store:", 0) != 0)
+                kept += line + "\n";
+        return kept;
+    };
+    EXPECT_EQ(withoutRecipeLines(r1.out), withoutRecipeLines(r2.out));
     EXPECT_EQ(r1.exit, r2.exit);
 
     // With the fault cleared the same store completes the figure

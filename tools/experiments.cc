@@ -5,7 +5,8 @@
  * Where each bench binary reproduces a single figure serially, this
  * CLI builds a driver::JobGraph over every requested figure: one job
  * per CPU characterization (shared by Figs. 6-12), one per GPU
- * launch recording (shared by Figs. 1-5 / Table III / PB), and one
+ * recording recipe (shared by Figs. 1-5 / Table III / PB; it records
+ * only when the store has no entry for the recipe), and one
  * per figure assembly, wired with explicit dependencies and executed
  * on the work-stealing pool. Figure text is byte-identical to the
  * per-binary serial runs because both paths call the same
@@ -96,8 +97,9 @@ usage(const char *argv0)
         "  --no-summary   suppress the job accounting table\n"
         "  --list         print figure ids and exit\n"
         "  --stats        print cache-sweep replay throughput, GPU\n"
-        "                 timing-simulation telemetry, and\n"
-        "                 result-store health after the figures\n"
+        "                 timing-simulation telemetry, GPU recordings\n"
+        "                 made vs recipe-served, and result-store\n"
+        "                 health after the figures\n"
         "  --keep-going   on job failure, still emit every\n"
         "                 completable figure and render failed ones\n"
         "                 as MISSING(<error-class>) markers\n"
@@ -320,7 +322,7 @@ main(int argc, char **argv)
     driver::JobGraph graph;
 
     // Shared input jobs: one per CPU characterization, one per GPU
-    // launch recording, deduplicated across figures.
+    // recording recipe, deduplicated across figures.
     bool needsAllCpu = false;
     for (const auto *def : figures)
         needsAllCpu = needsAllCpu || def->needsAllCpu;
@@ -341,7 +343,7 @@ main(int argc, char **argv)
             if (name == jobName)
                 return id;
         size_t id = graph.add(jobName, [&ctx, dep] {
-            ctx.gpu(dep.workload, dep.scale, dep.version);
+            ctx.recipe(dep.workload, dep.scale, dep.version);
         });
         gpuJobs.emplace_back(jobName, id);
         return id;
@@ -517,6 +519,11 @@ main(int argc, char **argv)
                     totalSimSeconds > 0.0
                         ? double(totalCycles) / totalSimSeconds / 1e6
                         : 0.0);
+        std::printf("GPU recordings: %llu recorded / %llu "
+                    "recipe-served\n",
+                    (unsigned long long)snap.value("gpusim.recordings"),
+                    (unsigned long long)snap.value(
+                        "gpusim.recipes_served"));
         if (uint64_t over = snap.value("gpusim.oversubscribed_cta"))
             std::printf("WARNING: %llu CTA placement(s) exceeded "
                         "standalone SM capacity (admitted by the "
@@ -537,10 +544,14 @@ main(int argc, char **argv)
         // anywhere. When no work was recorded *and* the store served
         // nothing, say so — the likely causes are an early exit or
         // every job failing (a failed job's metric transaction is
-        // dropped whole, see --keep-going).
+        // dropped whole, see --keep-going). A completed recording job
+        // counts as work whether it recorded or was recipe-served,
+        // so a warm store cannot turn the hint on or off.
         if (sweeps == 0 && simsRun == 0 &&
             snap.value("store.hits") == 0 &&
             snap.value("gpusim.store_served") == 0 &&
+            snap.value("gpusim.recordings") == 0 &&
+            snap.value("gpusim.recipes_served") == 0 &&
             snap.value("figures.built") == 0)
             std::printf(
                 "hint: nothing was recorded this run — it exited "
