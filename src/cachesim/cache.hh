@@ -1,7 +1,8 @@
 /**
  * @file
- * Multicore shared-cache simulator for working-set and sharing
- * analysis (Sections IV-B, V-A; Figures 8, 9, 10).
+ * Geometry and statistics of the multicore shared-cache model for
+ * working-set and sharing analysis (Sections IV-B, V-A; Figures 8,
+ * 9, 10); the simulator itself is CacheSweep (sweep.hh).
  *
  * Mirrors Bienia et al.'s methodology: an 8-core CMP with one cache
  * shared by all cores, 4-way associative with 64-byte lines, swept
@@ -20,10 +21,6 @@
 #include <vector>
 
 namespace rodinia {
-namespace trace {
-class TraceSession;
-} // namespace trace
-
 namespace cachesim {
 
 /** Geometry of one simulated shared cache. */
@@ -115,59 +112,6 @@ struct CacheStats
                         : 0.0;
     }
 };
-
-/**
- * One shared, set-associative, LRU, write-allocate cache fed by a
- * multithreaded access stream.
- */
-class SharedCache
-{
-  public:
-    explicit SharedCache(const CacheConfig &config);
-
-    /** Replay one access; internally splits line-crossing accesses. */
-    void access(int tid, uint64_t addr, uint32_t size, bool is_write);
-
-    /**
-     * Finalize statistics: residencies still live in the cache are
-     * counted (and classified shared or private). Call once, after
-     * the full trace has been replayed.
-     */
-    const CacheStats &finish();
-
-    const CacheConfig &config() const { return cfg; }
-    const CacheStats &stats() const { return counters; }
-
-  private:
-    void accessLine(int tid, uint64_t line_addr, bool is_write);
-
-    struct Line
-    {
-        uint64_t tag = 0;
-        uint64_t lastUse = 0;
-        uint64_t threadMask = 0;
-        bool valid = false;
-    };
-
-    CacheConfig cfg;
-    CacheStats counters;
-    std::vector<Line> lines;   //!< numSets * assoc, set-major
-    uint64_t nSets = 0;        //!< cached cfg.numSets()
-    int setShift = 0;          //!< log2(nSets)
-    uint64_t useClock = 0;
-    bool finished = false;
-};
-
-/**
- * Replay the session's interleaved memory trace once and return the
- * per-size statistics for every given size. Implemented on the
- * single-pass stack-distance engine (see sweep.hh); byte-identical
- * to replaying a SharedCache per size.
- */
-std::vector<CacheStats> sweepCacheSizes(
-    const trace::TraceSession &session,
-    const std::vector<uint64_t> &sizes_bytes, int assoc = 4,
-    int line_bytes = 64);
 
 /** The paper's eight cache sizes: 128 kB .. 16 MB, powers of two. */
 std::vector<uint64_t> paperCacheSizes();

@@ -16,11 +16,11 @@
  * simulated one for free.
  *
  * Equivalence contract: for each size the per-set stack order equals
- * the lastUse-timestamp order SharedCache maintains, and the
- * sharing counters are updated at the same points, so every
- * CacheStats field is byte-identical to an independent SharedCache
+ * the lastUse-timestamp order of an LRU cache simulated on its own,
+ * and the sharing counters are updated at the same points, so every
+ * CacheStats field is byte-identical to an independent per-size
  * replay of the same interleaved trace (asserted by the equivalence
- * property tests; SharedCache remains the oracle).
+ * property tests against the per-size oracle in tests/oracle/).
  */
 
 #ifndef RODINIA_CACHESIM_SWEEP_HH
@@ -89,7 +89,7 @@ class CacheSweep
 
     /**
      * Finalize statistics: residencies still live are counted and
-     * classified, exactly like SharedCache::finish(). Call once.
+     * classified, exactly as a per-size replay does. Call once.
      */
     SweepResult finish(double replay_seconds = 0.0);
 

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
 
 #include "driver/executor.hh"
 #include "driver/tracing.hh"
@@ -95,6 +94,14 @@ class StoreChunkSink : public trace::ChunkSink
     ResultStore *store;
 };
 
+/** The memo key of one recording: "name/s<scale>/v<version>". */
+std::string
+recordingKey(const std::string &name, core::Scale scale, int version)
+{
+    return name + "/s" + std::to_string(int(scale)) + "/v" +
+           std::to_string(version);
+}
+
 } // namespace
 
 Context::Context(ResultStore *store, Executor *executor)
@@ -124,77 +131,91 @@ Context::~Context()
         trace::setTraceSpill(prevSpillSink, prevSpillResident);
 }
 
+template <typename V>
+Context::Slot<V> &
+Context::slot(Slots<V> &table, const std::string &key)
+{
+    std::lock_guard<std::mutex> lock(mu);
+    auto &s = table[key];
+    if (!s)
+        s = std::make_unique<Slot<V>>();
+    return *s;
+}
+
+template <typename V, typename Fill>
+V &
+Context::memo(Slots<V> &table, const std::string &key, Fill &&fill)
+{
+    Slot<V> &s = slot(table, key);
+    // call_once keeps concurrent requesters from duplicating the
+    // (expensive) computation and propagates exceptions.
+    std::call_once(s.once, [&] {
+        fill(s.value);
+        s.done.store(true, std::memory_order_release);
+    });
+    return s.value;
+}
+
+template <typename V>
+bool
+Context::loadStored(const ResultStore::Key &key, V &value,
+                    bool (*parse)(const std::string &, V &))
+{
+    if (!store)
+        return false;
+    auto payload = store->load(key);
+    if (!payload)
+        return false;
+    if (parse(*payload, value))
+        return true;
+    // Unusable entry: drop it so the recompute republishes a good one
+    // instead of every future run re-hitting the corrupt bytes.
+    store->discard(key);
+    return false;
+}
+
 const core::CpuCharacterization &
 Context::cpu(const std::string &name, core::Scale scale, int threads)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/t" << threads;
-    Entry<core::CpuCharacterization> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = cpuEntries[keyName.str()];
-        if (!slot)
-            slot =
-                std::make_unique<Entry<core::CpuCharacterization>>();
-        entry = slot.get();
-    }
-    // call_once keeps concurrent requesters from duplicating the
-    // (expensive) characterization and propagates exceptions.
-    std::call_once(entry->once, [&] {
+    std::string keyName =
+        name + "/s" + std::to_string(int(scale)) + "/t" +
+        std::to_string(threads);
+    return memo(cpuSlots, keyName, [&](core::CpuCharacterization &c) {
         auto t0 = std::chrono::steady_clock::now();
         core::registerAllWorkloads();
         auto key = cpuCharKey(name, scale, threads);
-        bool fromStore = false;
-        if (store) {
-            if (auto payload = store->load(key)) {
-                if (parseCpuChar(*payload, entry->value))
-                    fromStore = true;
-                else
-                    // Unusable entry: drop it so the recompute below
-                    // republishes a good one instead of every future
-                    // run re-hitting the corrupt bytes.
-                    store->discard(key);
-            }
-        }
+        bool fromStore = loadStored(key, c, parseCpuChar);
         if (!fromStore) {
             // Stall site + checkpoint sit after the store hit path:
             // a warm entry is always served, only real compute is
             // stallable/cancellable.
-            support::FaultInjector::instance().maybeStall(
-                "cpu:" + keyName.str());
+            support::FaultInjector::instance().maybeStall("cpu:" +
+                                                          keyName);
             support::checkpointCancellation();
             auto w = core::Registry::instance().create(name);
-            entry->value = core::characterizeCpu(*w, scale, threads);
+            c = core::characterizeCpu(*w, scale, threads);
             if (store)
-                store->store(key, serializeCpuChar(entry->value));
+                store->store(key, serializeCpuChar(c));
             support::metrics::count("cachesim.chars_computed");
             support::metrics::countLabeled(
-                "cachesim.sweep.line_accesses", keyName.str(),
-                entry->value.sweepLineAccesses);
+                "cachesim.sweep.line_accesses", keyName,
+                c.sweepLineAccesses);
             support::metrics::countLabeled(
-                "cachesim.sweep.wall_us", keyName.str(),
-                uint64_t(entry->value.sweepReplaySeconds * 1e6),
+                "cachesim.sweep.wall_us", keyName,
+                uint64_t(c.sweepReplaySeconds * 1e6),
                 support::metrics::Stability::Volatile);
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                sweepTelemetry.push_back(
-                    {keyName.str(),
-                     entry->value.sweepLineAccesses,
-                     entry->value.sweepReplaySeconds});
-            }
         } else {
             support::metrics::count("cachesim.chars_served");
         }
         if (auto *tc = TraceCollector::active())
             tc->record("cachesim", "cpu-char",
                        TraceArgs()
-                           .str("key", keyName.str())
+                           .str("key", keyName)
                            .str("source",
                                 fromStore ? "store" : "computed")
                            .json(),
                        t0, std::chrono::steady_clock::now());
     });
-    return entry->value;
 }
 
 std::vector<core::CpuCharacterization>
@@ -213,80 +234,51 @@ Context::allCpu(core::Scale scale, int threads)
 const gpusim::LaunchSequence &
 Context::gpu(const std::string &name, core::Scale scale, int version)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version;
-    Entry<gpusim::LaunchSequence> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = gpuEntries[keyName.str()];
-        if (!slot)
-            slot = std::make_unique<Entry<gpusim::LaunchSequence>>();
-        entry = slot.get();
-    }
-    std::call_once(entry->once, [&] {
-        entry->value = recordGpuLaunch(name, scale, version);
-        support::metrics::count("gpusim.recordings");
-    });
-    return entry->value;
+    return memo(gpuSlots, recordingKey(name, scale, version),
+                [&](gpusim::LaunchSequence &seq) {
+                    seq = recordGpuLaunch(name, scale, version);
+                    support::metrics::count("gpusim.recordings");
+                });
 }
 
-Context::RecipeEntry &
-Context::recipeEntry(const std::string &name, core::Scale scale,
-                     int version)
+Context::RecipeMemo &
+Context::recipeMemo(const std::string &name, core::Scale scale,
+                    int version)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version;
-    RecipeEntry *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = recipeEntries[keyName.str()];
-        if (!slot)
-            slot = std::make_unique<RecipeEntry>();
-        entry = slot.get();
-    }
-    std::call_once(entry->once, [&] {
+    std::string keyName = recordingKey(name, scale, version);
+    return memo(recipeSlots, keyName, [&](RecipeMemo &m) {
         auto t0 = std::chrono::steady_clock::now();
-        auto key = gpuRecipeKey(name, scale, version);
-        if (store) {
-            if (auto payload = store->load(key)) {
-                if (parseGpuRecipe(*payload, entry->value))
-                    entry->fromStore = true;
-                else
-                    store->discard(key);
-            }
-        }
-        if (entry->fromStore)
+        m.fromStore = loadStored(gpuRecipeKey(name, scale, version),
+                                 m.recipe, parseGpuRecipe);
+        if (m.fromStore)
             support::metrics::count("gpusim.recipes_served");
         else
-            entry->value.contentHash =
+            m.recipe.contentHash =
                 gpusim::contentHash(gpu(name, scale, version));
         if (auto *tc = TraceCollector::active())
             tc->record("gpusim", "recipe",
                        TraceArgs()
-                           .str("key", keyName.str())
-                           .str("source", entry->fromStore ? "store"
-                                                           : "recorded")
+                           .str("key", keyName)
+                           .str("source",
+                                m.fromStore ? "store" : "recorded")
                            .json(),
                        t0, std::chrono::steady_clock::now());
-        std::lock_guard<std::mutex> lock(mu);
-        doneKeys.insert("recipe:" + keyName.str());
     });
-    return *entry;
 }
 
 const GpuRecipe &
 Context::recipe(const std::string &name, core::Scale scale, int version)
 {
-    RecipeEntry &entry = recipeEntry(name, scale, version);
-    if (!entry.fromStore)
-        std::call_once(entry.complete, [&] {
-            entry.value.trace =
+    RecipeMemo &m = recipeMemo(name, scale, version);
+    if (!m.fromStore)
+        std::call_once(m.complete, [&] {
+            m.recipe.trace =
                 gpusim::analyzeTrace(gpu(name, scale, version));
             if (store)
                 store->store(gpuRecipeKey(name, scale, version),
-                             serializeGpuRecipe(entry.value));
+                             serializeGpuRecipe(m.recipe));
         });
-    return entry.value;
+    return m.recipe;
 }
 
 bool
@@ -294,19 +286,19 @@ Context::gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config)
 {
     std::string fp = config.fingerprint();
-    std::ostringstream recName;
-    recName << name << "/s" << int(scale) << "/v" << version;
-    std::string statsKey = recName.str() + "/" + fp;
+    std::string recKey = recordingKey(name, scale, version);
     uint64_t recHash = 0;
     {
         std::lock_guard<std::mutex> lock(mu);
-        if (doneKeys.count("stats:" + statsKey))
+        auto st = statsSlots.find(recKey + "/" + fp);
+        if (st != statsSlots.end() &&
+            st->second->done.load(std::memory_order_acquire))
             return true;
-        if (!doneKeys.count("recipe:" + recName.str()))
+        auto it = recipeSlots.find(recKey);
+        if (it == recipeSlots.end() ||
+            !it->second->done.load(std::memory_order_acquire))
             return false;
-        // Completed entries are immutable, so the value is readable
-        // outside its call_once once the done key is present.
-        recHash = recipeEntries.at(recName.str())->value.contentHash;
+        recHash = it->second->value.recipe.contentHash;
     }
     if (!store || !store->enabled())
         return false;
@@ -320,66 +312,40 @@ Context::gpuStats(const std::string &name, core::Scale scale,
                   int version, const gpusim::SimConfig &config)
 {
     std::string fp = config.fingerprint();
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version << "/"
-            << fp;
-    Entry<gpusim::KernelStats> *entry;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        auto &slot = gpuStatsEntries[keyName.str()];
-        if (!slot)
-            slot = std::make_unique<Entry<gpusim::KernelStats>>();
-        entry = slot.get();
-    }
-    std::call_once(entry->once, [&] {
+    std::string keyName = recordingKey(name, scale, version) + "/" + fp;
+    return memo(statsSlots, keyName, [&](StatsMemo &m) {
         auto span0 = std::chrono::steady_clock::now();
         // The recording's content hash is part of the key (a changed
         // recording must not be served stale stats); the recipe
         // supplies it without recording on a warm run.
         uint64_t rec_hash =
-            recipeEntry(name, scale, version).value.contentHash;
+            recipeMemo(name, scale, version).recipe.contentHash;
         auto key = gpuStatsKey(name, scale, version, fp, rec_hash);
-        bool fromStore = false;
-        if (store) {
-            if (auto payload = store->load(key)) {
-                if (gpusim::parseKernelStats(*payload, entry->value))
-                    fromStore = true;
-                else
-                    store->discard(key);
-            }
-        }
+        bool fromStore =
+            loadStored(key, m.stats, gpusim::parseKernelStats);
         if (!fromStore) {
-            support::FaultInjector::instance().maybeStall(
-                "sim:" + keyName.str());
+            support::FaultInjector::instance().maybeStall("sim:" +
+                                                          keyName);
             support::checkpointCancellation();
             const gpusim::LaunchSequence &seq =
                 gpu(name, scale, version);
             auto t0 = std::chrono::steady_clock::now();
             gpusim::TimingSim sim(config);
-            entry->value = sim.simulate(seq);
+            m.stats = sim.simulate(seq);
             std::chrono::duration<double> dt =
                 std::chrono::steady_clock::now() - t0;
             if (store)
-                store->store(
-                    key, gpusim::serializeKernelStats(entry->value));
+                store->store(key, gpusim::serializeKernelStats(m.stats));
             uint64_t simUs = uint64_t(dt.count() * 1e6);
             support::metrics::count("gpusim.sims_run");
-            support::metrics::count("gpusim.cycles",
-                                    entry->value.cycles);
-            support::metrics::countLabeled("gpusim.sim.cycles",
-                                           keyName.str(),
-                                           entry->value.cycles);
+            support::metrics::count("gpusim.cycles", m.stats.cycles);
+            support::metrics::countLabeled("gpusim.sim.cycles", keyName,
+                                           m.stats.cycles);
             support::metrics::countLabeled(
-                "gpusim.sim.wall_us", keyName.str(), simUs,
+                "gpusim.sim.wall_us", keyName, simUs,
                 support::metrics::Stability::Volatile);
             support::metrics::observe("gpusim.sim_wall_us", simUs);
-            {
-                std::lock_guard<std::mutex> lock(mu);
-                gpuSimTelemetry.push_back(
-                    {keyName.str(), entry->value.cycles, dt.count()});
-            }
         } else {
-            nGpuStoreHits.fetch_add(1);
             support::metrics::count("gpusim.store_served");
         }
         if (auto *tc = TraceCollector::active()) {
@@ -388,10 +354,10 @@ Context::gpuStats(const std::string &name, core::Scale scale,
             // serialization) straight from the timing model's
             // KernelStats — identical whether simulated or
             // store-served, so trace args stay deterministic.
-            const gpusim::KernelStats &s = entry->value;
+            const gpusim::KernelStats &s = m.stats;
             tc->record("gpusim", "sim",
                        TraceArgs()
-                           .str("key", keyName.str())
+                           .str("key", keyName)
                            .str("source",
                                 fromStore ? "store" : "simulated")
                            .num("cycles", s.cycles)
@@ -407,10 +373,7 @@ Context::gpuStats(const std::string &name, core::Scale scale,
                            .json(),
                        span0, std::chrono::steady_clock::now());
         }
-        std::lock_guard<std::mutex> lock(mu);
-        doneKeys.insert("stats:" + keyName.str());
-    });
-    return entry->value;
+    }).stats;
 }
 
 std::shared_ptr<Context::SimFlight>
@@ -418,22 +381,18 @@ Context::simFlightJoin(const std::string &name, core::Scale scale,
                        int version, const gpusim::SimConfig &config,
                        bool &leader)
 {
-    std::ostringstream keyName;
-    keyName << name << "/s" << int(scale) << "/v" << version << "/"
-            << config.fingerprint();
+    Slot<StatsMemo> &s = slot(
+        statsSlots,
+        recordingKey(name, scale, version) + "/" + config.fingerprint());
     std::lock_guard<std::mutex> lock(mu);
-    auto &slot = simFlights[keyName.str()];
-    if (slot) {
-        leader = false;
-        {
-            std::lock_guard<std::mutex> flock(slot->mu);
-            slot->followers += 1;
-        }
-        return slot;
+    std::shared_ptr<SimFlight> &flight = s.value.flight;
+    leader = !flight;
+    if (leader) {
+        flight = std::make_shared<SimFlight>();
+        flight->registration = &flight;
+        ++nOpenFlights;
     }
-    leader = true;
-    slot = std::make_shared<SimFlight>();
-    return slot;
+    return flight;
 }
 
 void
@@ -442,18 +401,15 @@ Context::simFlightComplete(const std::shared_ptr<SimFlight> &flight,
                            const std::string &message,
                            const std::string &payload)
 {
-    // Retire the registry entry FIRST: once followers can observe
+    // Retire the registration FIRST: once followers can observe
     // done, a brand-new request for the same key must start its own
     // flight (served from the memo) rather than join a finished one.
+    // The slot held one ref, leader + followers hold their own, so
+    // the flight outlives its registration while anyone waits on it.
     {
         std::lock_guard<std::mutex> lock(mu);
-        for (auto it = simFlights.begin(); it != simFlights.end();
-             ++it) {
-            if (it->second == flight) {
-                simFlights.erase(it);
-                break;
-            }
-        }
+        flight->registration->reset();
+        --nOpenFlights;
     }
     {
         std::lock_guard<std::mutex> flock(flight->mu);
@@ -467,24 +423,10 @@ Context::simFlightComplete(const std::shared_ptr<SimFlight> &flight,
 }
 
 size_t
-Context::simFlightsInFlight() const
+Context::openSimFlights() const
 {
     std::lock_guard<std::mutex> lock(mu);
-    return simFlights.size();
-}
-
-std::vector<Context::GpuSimTelemetry>
-Context::gpuSimTelemetrySnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return gpuSimTelemetry;
-}
-
-std::vector<Context::SweepTelemetry>
-Context::sweepTelemetrySnapshot() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return sweepTelemetry;
+    return nOpenFlights;
 }
 
 void

@@ -22,7 +22,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -118,12 +117,12 @@ class Context
      * simulation? True when the stats are already memoized in this
      * Context, or when the recording's recipe is memoized and the
      * result store holds a published entry for the key. A cheap,
-     * non-blocking probe (one map lookup, at most one stat(2)) —
-     * never records, hashes, or simulates — used by the experiment
-     * service to route requests onto the warm lane. A false negative
-     * (e.g. store entry present but the recipe not yet memoized) is
-     * safe: the request just takes the cold lane and still hits the
-     * store.
+     * non-blocking probe (two map lookups that create no slot, at
+     * most one stat(2)) — never records, hashes, or simulates — used
+     * by the experiment service to route requests onto the warm
+     * lane. A false negative (e.g. store entry present but the
+     * recipe not yet memoized) is safe: the request just takes the
+     * cold lane and still hits the store.
      */
     bool gpuStatsWarm(const std::string &name, core::Scale scale,
                       int version, const gpusim::SimConfig &config);
@@ -134,40 +133,6 @@ class Context
      * slots; assembly order is the caller's.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
-
-    Executor *executor() const { return exec; }
-    ResultStore *resultStore() const { return store; }
-
-    /** One cache-sweep replay actually performed this process. */
-    struct SweepTelemetry
-    {
-        std::string key;           //!< "name/s<scale>/t<threads>"
-        uint64_t lineAccesses = 0;
-        double replaySeconds = 0.0;
-    };
-
-    /**
-     * Telemetry for every characterization computed (not loaded from
-     * the store) so far, in completion order. Snapshot, thread-safe.
-     */
-    std::vector<SweepTelemetry> sweepTelemetrySnapshot() const;
-
-    /** One timing simulation actually performed this process. */
-    struct GpuSimTelemetry
-    {
-        std::string key;      //!< "name/s<scale>/v<version>/<config>"
-        uint64_t cycles = 0;  //!< simulated GPU cycles produced
-        double simSeconds = 0.0;
-    };
-
-    /**
-     * Telemetry for every timing simulation actually run (not served
-     * from memo or store) so far, in completion order. Thread-safe.
-     */
-    std::vector<GpuSimTelemetry> gpuSimTelemetrySnapshot() const;
-
-    /** gpuStats results served from the result store, not simulated. */
-    uint64_t gpuStatsStoreHits() const { return nGpuStoreHits.load(); }
 
     // ---- in-flight simulation registry (single flight) ----------
 
@@ -196,7 +161,9 @@ class Context
         std::string errorClass;   //!< failure-taxonomy name when !ok
         std::string message;      //!< error message when !ok
         std::string payload;      //!< serialized KernelStats when ok
-        uint64_t followers = 0;   //!< joins observed (telemetry)
+        /** The gpuStats slot member that registers this flight; the
+         *  leader's completion resets it (under Context::mu). */
+        std::shared_ptr<SimFlight> *registration = nullptr;
     };
 
     /**
@@ -217,7 +184,7 @@ class Context
 
     /**
      * Leader-only: publish the outcome (ok + payload, or error class
-     * + message), retire the flight from the registry, and wake every
+     * + message), retire the flight from its slot, and wake every
      * follower. Exactly one call per leader handle.
      */
     void simFlightComplete(const std::shared_ptr<SimFlight> &flight,
@@ -225,16 +192,38 @@ class Context
                            const std::string &message,
                            const std::string &payload);
 
-    /** In-flight simulation count (flights registered, not yet
-     *  completed). Snapshot for stats surfaces. */
-    size_t simFlightsInFlight() const;
+    /** Open simulation flights (begun, not yet completed). Snapshot
+     *  for stats surfaces. */
+    size_t openSimFlights() const;
 
   private:
-    template <typename V> struct Entry
+    /** One memo slot: `once` fills `value`, after which `done` is
+     *  set (release), so gpuStatsWarm can test completion without
+     *  blocking on the once flag. */
+    template <typename V> struct Slot
     {
         std::once_flag once;
+        std::atomic<bool> done{false};
         V value;
     };
+    template <typename V>
+    using Slots = std::map<std::string, std::unique_ptr<Slot<V>>>;
+
+    /** Find or create @p key's slot (under mu). Slots are never
+     *  evicted, so the reference stays valid. */
+    template <typename V>
+    Slot<V> &slot(Slots<V> &table, const std::string &key);
+
+    /** @p key's slot value, filled once by @p fill(value). */
+    template <typename V, typename Fill>
+    V &memo(Slots<V> &table, const std::string &key, Fill &&fill);
+
+    /** Load @p key from the store and parse it into @p value. A
+     *  payload that fails to parse is discarded, so the caller's
+     *  recompute republishes a good one. @return true if served. */
+    template <typename V>
+    bool loadStored(const ResultStore::Key &key, V &value,
+                    bool (*parse)(const std::string &, V &));
 
     ResultStore *store;
     Executor *exec;
@@ -250,41 +239,37 @@ class Context
     const gpusim::LaunchSequence &
     gpu(const std::string &name, core::Scale scale, int version);
 
-    /** A recipe memo slot. `once` fills the whole entry from the
-     *  store, or on a miss only the content hash; `complete` (first
-     *  recipe() call) then analyzes the recording and publishes. */
-    struct RecipeEntry
+    /** A recipe slot's value. The slot's once fills the whole recipe
+     *  from the store, or on a miss only the content hash;
+     *  `complete` (first recipe() call) then analyzes the recording
+     *  and publishes. */
+    struct RecipeMemo
     {
-        std::once_flag once;
-        GpuRecipe value;
+        GpuRecipe recipe;
         bool fromStore = false;
         std::once_flag complete;
+    };
+
+    /** A gpuStats slot's value and its open flight (null when none;
+     *  guarded by mu). */
+    struct StatsMemo
+    {
+        gpusim::KernelStats stats;
+        std::shared_ptr<SimFlight> flight;
     };
 
     /** The memo behind recipe() and gpuStats(): loads the entry, or
      *  records and hashes. Never analyzes or publishes, so a
      *  simulation that needs only the hash pays for neither. */
-    RecipeEntry &recipeEntry(const std::string &name, core::Scale scale,
-                             int version);
+    RecipeMemo &recipeMemo(const std::string &name, core::Scale scale,
+                           int version);
 
     mutable std::mutex mu;
-    std::map<std::string, std::unique_ptr<Entry<core::CpuCharacterization>>>
-        cpuEntries;
-    std::map<std::string, std::unique_ptr<Entry<gpusim::LaunchSequence>>>
-        gpuEntries;
-    std::map<std::string, std::unique_ptr<RecipeEntry>> recipeEntries;
-    std::map<std::string, std::unique_ptr<Entry<gpusim::KernelStats>>>
-        gpuStatsEntries;
-    std::vector<SweepTelemetry> sweepTelemetry;
-    std::vector<GpuSimTelemetry> gpuSimTelemetry;
-    std::atomic<uint64_t> nGpuStoreHits{0};
-    /** Open flights by gpuStats key; erased on completion. The map
-     *  holds one ref, leader + followers hold their own, so a flight
-     *  outlives its registry entry as long as anyone waits on it. */
-    std::map<std::string, std::shared_ptr<SimFlight>> simFlights;
-    /** Keys whose call_once completed ("stats:..."/"recipe:...") —
-     *  the queryable side of the once_flag, for gpuStatsWarm. */
-    std::set<std::string> doneKeys;
+    Slots<core::CpuCharacterization> cpuSlots;
+    Slots<gpusim::LaunchSequence> gpuSlots;
+    Slots<RecipeMemo> recipeSlots;
+    Slots<StatsMemo> statsSlots;
+    size_t nOpenFlights = 0; //!< guarded by mu
 };
 
 } // namespace driver

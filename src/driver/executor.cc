@@ -220,12 +220,6 @@ Executor::setRetryPolicy(const RetryPolicy &policy)
     impl->policy = policy;
 }
 
-RetryPolicy
-Executor::retryPolicy() const
-{
-    return impl->policy;
-}
-
 // completeJob() records a job's outcome, releases dependents, and
 // (for failure) cascades Skipped through the downstream graph.
 void

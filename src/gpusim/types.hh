@@ -270,8 +270,6 @@ struct LaunchConfig
 {
     int gridDim = 1;
     int blockDim = 32;
-
-    int totalThreads() const { return gridDim * blockDim; }
 };
 
 /** Recording of one thread block: one event trace per thread. */

@@ -30,11 +30,11 @@
  *    still monopolized the workers until it drained. Each lane's
  *    queue is now per-client deficit round-robin: every client owns
  *    its own sub-queue, rounds visit backlogged clients in order,
- *    and a client is served up to quantum x weight items per round
- *    — so under saturation the served-work ratio between two
- *    backlogged clients converges to their weight ratio, and a
- *    weight-1 client is structurally guaranteed at least quantum
- *    item(s) per round no matter how heavy the competing flood.
+ *    and a client is served up to `weight` items per round — so
+ *    under saturation the served-work ratio between two backlogged
+ *    clients converges to their weight ratio, and a weight-1 client
+ *    is structurally guaranteed at least one item per round no
+ *    matter how heavy the competing flood.
  *    Weights arrive via the protocol's "hello" op, clamped to
  *    AdmissionPolicy::maxWeight.
  *
@@ -69,7 +69,6 @@ struct AdmissionPolicy
     size_t maxWarmQueue = 256; //!< warm hits are cheap; deeper cap
     size_t perClientInFlight = 16; //!< admitted and not yet finished
     uint32_t maxWeight = 64;   //!< WFQ weight ceiling ("hello" clamp)
-    uint32_t wfqQuantum = 1;   //!< items a weight-1 client gets/round
 };
 
 /** Outcome of one admission decision. */
@@ -127,13 +126,13 @@ class AdmissionController
  *
  * Each client owns a FIFO sub-queue. Backlogged clients form a round
  * (joined at the tail, so a newcomer never barges mid-round). When a
- * client reaches the round's front it is granted quantum x weight
- * credits; pop() serves its items one per call until the credit runs
- * out or its sub-queue drains, then rotates it to the tail (credit
- * left over when the queue drains is forfeited — classic DRR, so an
- * idle client cannot bank service). With every client backlogged and
- * unit-cost items, one full round serves exactly quantum x weight
- * items per client — the fairness property the Wfq tests pin.
+ * client reaches the round's front it is granted `weight` credits;
+ * pop() serves its items one per call until the credit runs out or
+ * its sub-queue drains, then rotates it to the tail (credit left
+ * over when the queue drains is forfeited — classic DRR, so an idle
+ * client cannot bank service). With every client backlogged and
+ * unit-cost items, one full round serves exactly `weight` items per
+ * client — the fairness property the Wfq tests pin.
  *
  * Not internally synchronized: the server calls every method under
  * its queue mutex, and the property tests are single-threaded.
@@ -142,11 +141,6 @@ template <typename T>
 class WfqQueue
 {
   public:
-    explicit WfqQueue(uint32_t quantum = 1)
-        : quantum_(quantum < 1 ? 1 : quantum)
-    {
-    }
-
     /** Set (or pre-declare) a client's weight; persists across idle
      *  periods. Takes effect the next time the client reaches the
      *  round front. Clamped to >= 1. */
@@ -185,7 +179,7 @@ class WfqQueue
             const std::string &front = round_.front();
             PerClient &pc = clients_[front];
             if (pc.fresh) {
-                pc.credit += uint64_t(quantum_) * pc.weight;
+                pc.credit += pc.weight;
                 pc.fresh = false;
             }
             if (pc.credit >= 1 && !pc.items.empty()) {
@@ -224,7 +218,6 @@ class WfqQueue
         bool fresh = true; //!< grant credit on next round-front visit
     };
 
-    uint32_t quantum_;
     std::map<std::string, PerClient> clients_;
     std::deque<std::string> round_; //!< backlogged clients, RR order
     size_t size_ = 0;

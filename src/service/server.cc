@@ -69,8 +69,6 @@ struct ExperimentService::Impl
           admission(cfg.admission)
     {
         core::registerAllWorkloads();
-        queues[0] = WfqQueue<Task>(cfg.admission.wfqQuantum);
-        queues[1] = WfqQueue<Task>(cfg.admission.wfqQuantum);
     }
 
     // ---- connection state -------------------------------------
@@ -481,7 +479,7 @@ ExperimentService::Impl::handleStats(const std::shared_ptr<Conn> &conn,
         std::lock_guard<std::mutex> lock(figureCacheMu);
         os << ",\"figure_cache\":" << figureCache.size();
     }
-    os << ",\"sim_flights\":" << ctx.simFlightsInFlight();
+    os << ",\"sim_flights\":" << ctx.openSimFlights();
     os << ",\"metrics\":"
        << metrics::Registry::global().snapshot().renderJson() << "}";
     conn->write(renderStats(req.id, os.str()));

@@ -1,0 +1,67 @@
+/**
+ * @file
+ * Reference shared-cache model, the oracle for cachesim::CacheSweep.
+ *
+ * One cache size per instance, LRU by per-line lastUse timestamps:
+ * the direct transcription of Bienia et al.'s shared-cache
+ * methodology that the single-pass sweep must reproduce exactly.
+ * Only tests use it, so it lives with them.
+ */
+
+#ifndef RODINIA_TESTS_ORACLE_SHARED_CACHE_HH
+#define RODINIA_TESTS_ORACLE_SHARED_CACHE_HH
+
+#include <cstdint>
+#include <vector>
+
+#include "cachesim/cache.hh"
+
+namespace rodinia {
+namespace cachesim {
+
+/**
+ * One shared, set-associative, LRU, write-allocate cache fed by a
+ * multithreaded access stream.
+ */
+class SharedCache
+{
+  public:
+    explicit SharedCache(const CacheConfig &config);
+
+    /** Replay one access; internally splits line-crossing accesses. */
+    void access(int tid, uint64_t addr, uint32_t size, bool is_write);
+
+    /**
+     * Finalize statistics: residencies still live in the cache are
+     * counted (and classified shared or private). Call once, after
+     * the full trace has been replayed.
+     */
+    const CacheStats &finish();
+
+    const CacheConfig &config() const { return cfg; }
+    const CacheStats &stats() const { return counters; }
+
+  private:
+    void accessLine(int tid, uint64_t line_addr, bool is_write);
+
+    struct Line
+    {
+        uint64_t tag = 0;
+        uint64_t lastUse = 0;
+        uint64_t threadMask = 0;
+        bool valid = false;
+    };
+
+    CacheConfig cfg;
+    CacheStats counters;
+    std::vector<Line> lines;   //!< numSets * assoc, set-major
+    uint64_t nSets = 0;        //!< cached cfg.numSets()
+    int setShift = 0;          //!< log2(nSets)
+    uint64_t useClock = 0;
+    bool finished = false;
+};
+
+} // namespace cachesim
+} // namespace rodinia
+
+#endif // RODINIA_TESTS_ORACLE_SHARED_CACHE_HH

@@ -7,6 +7,7 @@
 
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
+#include "oracle/shared_cache.hh"
 #include "support/rng.hh"
 #include "trace/trace.hh"
 
@@ -130,7 +131,9 @@ TEST(CacheSim, MissRateMonotoneInCacheSize)
         }
     });
 
-    auto sweep = sweepCacheSizes(session, paperCacheSizes());
+    SweepConfig cfg;
+    cfg.sizesBytes = paperCacheSizes();
+    auto sweep = runSweep(session, cfg).stats;
     for (size_t i = 1; i < sweep.size(); ++i)
         EXPECT_LE(sweep[i].missRate(), sweep[i - 1].missRate() + 1e-9)
             << "size index " << i;
@@ -146,7 +149,9 @@ TEST(CacheSim, AccessAccounting)
         for (int i = 0; i < 5000; ++i)
             ctx.load(&heap[local.below(1 << 16)], 4);
     });
-    auto sweep = sweepCacheSizes(session, {128 * 1024});
+    SweepConfig cfg;
+    cfg.sizesBytes = {128 * 1024};
+    auto sweep = runSweep(session, cfg).stats;
     const auto &st = sweep[0];
     // 10000 program accesses; those straddling a 64 B boundary split
     // into two line accesses.
@@ -325,7 +330,9 @@ TEST(CacheSim, SharedHotRegionDetected)
             ctx.load(&heap[local.below(1 << 14)], 4);
         }
     });
-    auto sweep = sweepCacheSizes(session, {1024 * 1024});
+    SweepConfig cfg;
+    cfg.sizesBytes = {1024 * 1024};
+    auto sweep = runSweep(session, cfg).stats;
     EXPECT_GT(sweep[0].sharedLineFraction(), 0.5);
     EXPECT_GT(sweep[0].sharedAccessFraction(), 0.5);
 }

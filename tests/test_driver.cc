@@ -53,6 +53,13 @@ class ScratchDir
     std::filesystem::path path;
 };
 
+uint64_t
+metric(const char *name, const std::string &label = "")
+{
+    return support::metrics::Registry::global().snapshot().value(name,
+                                                                 label);
+}
+
 } // namespace
 
 // ---------------------------------------------------------------
@@ -555,6 +562,8 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
     ScratchDir scratch("gpustats");
     gpusim::SimConfig cfg = gpusim::SimConfig::shaders(4);
 
+    uint64_t sims0 = metric("gpusim.sims_run");
+    uint64_t served0 = metric("gpusim.store_served");
     gpusim::KernelStats first;
     {
         ResultStore store(scratch.dir());
@@ -565,8 +574,8 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
             ctx.gpuStats("kmeans", core::Scale::Tiny, 0, cfg);
         EXPECT_EQ(&a, &b); // memoized, not re-simulated
         EXPECT_GT(a.cycles, 0u);
-        EXPECT_EQ(ctx.gpuStatsStoreHits(), 0u);
-        EXPECT_EQ(ctx.gpuSimTelemetrySnapshot().size(), 1u);
+        EXPECT_EQ(metric("gpusim.store_served"), served0);
+        EXPECT_EQ(metric("gpusim.sims_run") - sims0, 1u);
         first = a;
     }
 
@@ -576,8 +585,8 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
     driver::Context ctx2(&store);
     const auto &reloaded =
         ctx2.gpuStats("kmeans", core::Scale::Tiny, 0, cfg);
-    EXPECT_EQ(ctx2.gpuStatsStoreHits(), 1u);
-    EXPECT_TRUE(ctx2.gpuSimTelemetrySnapshot().empty());
+    EXPECT_EQ(metric("gpusim.store_served") - served0, 1u);
+    EXPECT_EQ(metric("gpusim.sims_run") - sims0, 1u);
     EXPECT_TRUE(reloaded == first);
     EXPECT_EQ(gpusim::serializeKernelStats(reloaded),
               gpusim::serializeKernelStats(first));
@@ -586,15 +595,24 @@ TEST(GpuStats, MemoizesWithinAProcessAndCachesAcrossProcesses)
 TEST(GpuStats, DistinctConfigsSimulateSeparately)
 {
     driver::Context ctx; // no store: pure memoization
-    const auto &sa = ctx.gpuStats("kmeans", core::Scale::Tiny, 0,
-                                  gpusim::SimConfig::shaders(4));
-    const auto &sb = ctx.gpuStats("kmeans", core::Scale::Tiny, 0,
-                                  gpusim::SimConfig::shaders(8));
+    gpusim::SimConfig ca = gpusim::SimConfig::shaders(4);
+    gpusim::SimConfig cb = gpusim::SimConfig::shaders(8);
+    // The per-sim cycle counters are labeled by the memo key.
+    std::string rec =
+        "kmeans/s" + std::to_string(int(core::Scale::Tiny)) + "/v0/";
+    std::string la = rec + ca.fingerprint(), lb = rec + cb.fingerprint();
+    uint64_t sims0 = metric("gpusim.sims_run");
+    uint64_t cyclesA0 = metric("gpusim.sim.cycles", la);
+    uint64_t cyclesB0 = metric("gpusim.sim.cycles", lb);
+    const auto &sa = ctx.gpuStats("kmeans", core::Scale::Tiny, 0, ca);
+    const auto &sb = ctx.gpuStats("kmeans", core::Scale::Tiny, 0, cb);
     EXPECT_NE(&sa, &sb); // different fingerprint, different entry
     EXPECT_GT(sa.cycles, 0u);
     EXPECT_GT(sb.cycles, 0u);
     EXPECT_LE(sb.cycles, sa.cycles); // more shaders never slower
-    EXPECT_EQ(ctx.gpuSimTelemetrySnapshot().size(), 2u);
+    EXPECT_EQ(metric("gpusim.sims_run") - sims0, 2u);
+    EXPECT_EQ(metric("gpusim.sim.cycles", la) - cyclesA0, sa.cycles);
+    EXPECT_EQ(metric("gpusim.sim.cycles", lb) - cyclesB0, sb.cycles);
 }
 
 TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
@@ -604,13 +622,16 @@ TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
     ASSERT_NE(def, nullptr);
 
     std::string cold;
+    uint64_t sims0 = metric("gpusim.sims_run");
+    uint64_t served0 = metric("gpusim.store_served");
     {
         ResultStore store(scratch.dir());
         driver::Context ctx(&store);
         cold = def->build(ctx);
-        EXPECT_EQ(ctx.gpuStatsStoreHits(), 0u);
-        EXPECT_FALSE(ctx.gpuSimTelemetrySnapshot().empty());
+        EXPECT_EQ(metric("gpusim.store_served"), served0);
+        EXPECT_GT(metric("gpusim.sims_run"), sims0);
     }
+    uint64_t sims1 = metric("gpusim.sims_run");
 
     // Warm rerun in a new process-equivalent (fresh Context), with a
     // worker pool for good measure: every simulation must come from
@@ -620,8 +641,52 @@ TEST(Context, GpuFigureIsByteIdenticalColdVersusWarm)
     driver::Context ctx(&store, &ex);
     std::string warm = def->build(ctx);
     EXPECT_EQ(warm, cold);
-    EXPECT_GT(ctx.gpuStatsStoreHits(), 0u);
-    EXPECT_TRUE(ctx.gpuSimTelemetrySnapshot().empty());
+    EXPECT_GT(metric("gpusim.store_served"), served0);
+    EXPECT_EQ(metric("gpusim.sims_run"), sims1);
+}
+
+TEST(Context, GpuStatsWarmProbeNeverRecordsOrSimulates)
+{
+    // The service's warm-lane probe: true exactly when gpuStats would
+    // be served without a simulation, and it never records or
+    // simulates to find out.
+    ScratchDir scratch("warmprobe");
+    const core::Scale tiny = core::Scale::Tiny;
+    const gpusim::SimConfig cfg = gpusim::SimConfig::shaders(4);
+    const gpusim::SimConfig unseen = gpusim::SimConfig::shaders(8);
+    auto probe = [](driver::Context &ctx, const gpusim::SimConfig &c) {
+        uint64_t rec0 = metric("gpusim.recordings");
+        uint64_t sims0 = metric("gpusim.sims_run");
+        bool warm = ctx.gpuStatsWarm("kmeans", core::Scale::Tiny, 0, c);
+        EXPECT_EQ(metric("gpusim.recordings"), rec0);
+        EXPECT_EQ(metric("gpusim.sims_run"), sims0);
+        return warm;
+    };
+    {
+        // An earlier process publishes the recipe and the stats.
+        ResultStore store(scratch.dir());
+        driver::Context ctx(&store);
+        ctx.recipe("kmeans", tiny, 0);
+        ctx.gpuStats("kmeans", tiny, 0, cfg);
+    }
+
+    ResultStore store(scratch.dir());
+    driver::Context ctx(&store);
+    // Nothing memoized yet: without the recipe's hash the probe
+    // cannot name the stored stats entry.
+    EXPECT_FALSE(probe(ctx, cfg));
+    uint64_t rec0 = metric("gpusim.recordings");
+    ctx.recipe("kmeans", tiny, 0); // store-served, records nothing
+    EXPECT_EQ(metric("gpusim.recordings"), rec0);
+    EXPECT_TRUE(probe(ctx, cfg));
+    EXPECT_FALSE(probe(ctx, unseen));
+
+    // Storeless: only the stats memo itself can make the probe true.
+    driver::Context mem;
+    EXPECT_FALSE(probe(mem, cfg));
+    mem.gpuStats("kmeans", tiny, 0, cfg);
+    EXPECT_TRUE(probe(mem, cfg));
+    EXPECT_FALSE(probe(mem, unseen));
 }
 
 // ---------------------------------------------------------------
@@ -701,12 +766,6 @@ TEST(ParallelGpuSim, ConcurrentSimulationsMatchSerial)
 // ---------------------------------------------------------------
 
 namespace {
-
-uint64_t
-metric(const char *name)
-{
-    return support::metrics::Registry::global().snapshot().value(name);
-}
 
 /** Sets the primary figure scale for one test, restoring it after. */
 class PrimaryScale

@@ -15,6 +15,7 @@
 #include "core/characterize.hh"
 #include "core/workload.hh"
 #include "gpusim/replay.hh"
+#include "oracle/shared_cache.hh"
 #include "gpusim/timing.hh"
 #include "support/rng.hh"
 #include "trace/trace.hh"

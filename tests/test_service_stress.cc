@@ -8,10 +8,10 @@
  *  - Wfq: deficit-round-robin properties of WfqQueue — served-share
  *    proportionality, the starvation regression (a weight-1 client
  *    progresses every round no matter how heavy the competing
- *    flood), idle-credit forfeiture, no mid-round barging, quantum
- *    scaling, composition with the per-client quota, and a
- *    deterministic end-to-end served-order check against the
- *    Context's sim telemetry.
+ *    flood), idle-credit forfeiture, no mid-round barging,
+ *    composition with the per-client quota, and a deterministic
+ *    end-to-end served-order check read from the daemon's --trace
+ *    spans.
  *
  *  - SingleFlight: coalescing edge cases over a live daemon —
  *    followers receive the leader's bytes while exactly one sim
@@ -38,11 +38,13 @@
 #include <map>
 #include <mutex>
 #include <random>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "driver/context.hh"
+#include "driver/tracing.hh"
 #include "gpusim/timing.hh"
 #include "service/admission.hh"
 #include "service/client.hh"
@@ -158,7 +160,7 @@ TEST(Wfq, ServedShareMatchesWeightsUnderSaturation)
     q.setWeight("heavy", 3);
     q.setWeight("light", 1);
     // Both clients stay backlogged for the whole window, so each
-    // full round serves exactly quantum x weight items per client:
+    // full round serves exactly `weight` items per client:
     // the 3:1 served-share ratio is exact, not approximate.
     for (int i = 0; i < 30; ++i)
         q.push("heavy", 100 + i);
@@ -264,26 +266,6 @@ TEST(Wfq, NewcomerJoinsTheRoundTailNotMidRound)
     EXPECT_EQ(order, want);
 }
 
-TEST(Wfq, QuantumScalesEveryAllotment)
-{
-    WfqQueue<int> q(3); // quantum 3: weight-1 clients get 3/round
-    q.setWeight("a", 2);
-    // b keeps the default weight 1.
-    for (int i = 0; i < 12; ++i)
-        q.push("a", i);
-    for (int i = 0; i < 6; ++i)
-        q.push("b", 100 + i);
-    std::map<std::string, int> first9;
-    int item = 0;
-    std::string who;
-    for (int i = 0; i < 9; ++i) { // one full round: 6 a + 3 b
-        ASSERT_TRUE(q.pop(item, &who));
-        first9[who] += 1;
-    }
-    EXPECT_EQ(first9["a"], 6);
-    EXPECT_EQ(first9["b"], 3);
-}
-
 TEST(Wfq, PopOnEmptyIsFalseAndWeightsPersistAcrossIdle)
 {
     WfqQueue<int> q;
@@ -335,16 +317,61 @@ TEST(Wfq, ComposesWithPerClientQuota)
 }
 
 // ---------------------------------------------------------------
-// Wfq end to end: served ORDER over a live daemon. The Context's
-// sim telemetry records executions in completion order, and with
-// one cold worker completion order == DRR service order.
+// Wfq end to end: served ORDER over a live daemon, read from the
+// trace spans `--trace` exports. Each request's service/sim span
+// starts when a worker takes it off the queue, and with one cold
+// worker start order == DRR service order.
 // ---------------------------------------------------------------
+
+namespace {
+
+/** The `what` arg (the workload) of every service/sim span in the
+ *  rendered trace @p json, in span start (`ts`) order. */
+std::vector<std::string>
+simSpansByStart(const std::string &json)
+{
+    auto field = [](const std::string &line, const std::string &key) {
+        size_t at = line.find("\"" + key + "\":");
+        if (at == std::string::npos)
+            return std::string();
+        at += key.size() + 3;
+        if (line[at] == '"')
+            return line.substr(at + 1, line.find('"', at + 1) - at - 1);
+        return line.substr(at, line.find_first_of(",}", at) - at);
+    };
+    std::vector<std::pair<uint64_t, std::string>> spans;
+    std::istringstream in(json);
+    for (std::string line; std::getline(in, line);)
+        if (line.find("\"cat\":\"service\",\"name\":\"sim\"") !=
+            std::string::npos)
+            spans.emplace_back(std::stoull(field(line, "ts")),
+                               field(line, "what"));
+    std::stable_sort(spans.begin(), spans.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first < b.first;
+                     });
+    std::vector<std::string> order;
+    for (const auto &[ts, what] : spans)
+        order.push_back(what);
+    return order;
+}
+
+/** Installs a TraceCollector for one scope, as `--trace` does. */
+struct ScopedTrace
+{
+    driver::TraceCollector collector;
+    ScopedTrace() { driver::TraceCollector::install(&collector); }
+    ~ScopedTrace() { driver::TraceCollector::install(nullptr); }
+};
+
+} // namespace
 
 TEST(Wfq, ServedShareTracksWeightsEndToEnd)
 {
     ScratchDir scratch("wfq_e2e");
     ServiceConfig cfg = testConfig(scratch);
-    cfg.coldWorkers = 1; // serialize: telemetry order = DRR order
+    cfg.coldWorkers = 1; // serialize: span start order = DRR order
+    ScopedTrace trace;
     ExperimentService svc(cfg);
     ASSERT_TRUE(svc.start());
 
@@ -359,8 +386,8 @@ TEST(Wfq, ServedShareTracksWeightsEndToEnd)
     })) << "gate never started";
 
     // Heavy (weight 4) backlogs 8 distinct tiny sims; light (weight
-    // 1) backlogs 2. Distinct workloads so the telemetry keys name
-    // the client that issued them.
+    // 1) backlogs 2. Distinct workloads so each span's `what` names
+    // the client that issued it.
     ServiceClient heavy, light;
     ASSERT_TRUE(heavy.connect(scratch.socket()));
     ASSERT_TRUE(light.connect(scratch.socket()));
@@ -389,14 +416,18 @@ TEST(Wfq, ServedShareTracksWeightsEndToEnd)
     for (int i = 0; i < 2; ++i)
         ASSERT_TRUE(light.await("l" + std::to_string(i)).ok());
 
-    // Completion order, gate excluded: with weights 4:1 and both
+    // Each service/sim span is recorded once its request has
+    // answered; stopping the daemon settles the last of them.
+    svc.stop();
+
+    // Service order, gate excluded: with weights 4:1 and both
     // clients backlogged, every DRR round serves 4 heavy + 1 light,
     // so each window of 5 holds exactly one light sim.
     std::vector<std::string> order;
-    for (const auto &t : svc.context().gpuSimTelemetrySnapshot()) {
-        if (t.key.rfind("backprop/", 0) == 0)
+    for (const auto &what : simSpansByStart(trace.collector.render())) {
+        if (what == "backprop")
             order.push_back("heavy");
-        else if (t.key.rfind("bfs/", 0) == 0)
+        else if (what == "bfs")
             order.push_back("light");
     }
     ASSERT_EQ(order.size(), 10u);
@@ -407,7 +438,6 @@ TEST(Wfq, ServedShareTracksWeightsEndToEnd)
         lightSecond5 += order[size_t(i)] == "light";
     EXPECT_EQ(lightFirst5, 1) << "round 1 violated the 4:1 share";
     EXPECT_EQ(lightSecond5, 1) << "round 2 violated the 4:1 share";
-    svc.stop();
 }
 
 // ---------------------------------------------------------------
@@ -443,7 +473,7 @@ TEST(SingleFlight, FollowersGetLeaderBytesAndOneSimRuns)
     // Only send the identical request once the leader's flight is
     // registered, so B deterministically joins as a follower.
     ASSERT_TRUE(eventually(
-        [&] { return svc.context().simFlightsInFlight() == 1; }))
+        [&] { return svc.context().openSimFlights() == 1; }))
         << "leader flight never registered";
     ASSERT_TRUE(b.sendSim("follow", "bfs", "full", slowConfig(0)));
 
@@ -462,7 +492,7 @@ TEST(SingleFlight, FollowersGetLeaderBytesAndOneSimRuns)
     EXPECT_TRUE(gpusim::parseKernelStats(follow.payload, stats));
     // The registry drained once the flight completed.
     EXPECT_TRUE(eventually(
-        [&] { return svc.context().simFlightsInFlight() == 0; }));
+        [&] { return svc.context().openSimFlights() == 0; }));
     svc.stop();
 }
 
@@ -479,7 +509,7 @@ TEST(SingleFlight, FollowerCancelLeavesLeaderUndisturbed)
 
     ASSERT_TRUE(a.sendSim("lead", "bfs", "full", slowConfig(1)));
     ASSERT_TRUE(eventually(
-        [&] { return svc.context().simFlightsInFlight() == 1; }));
+        [&] { return svc.context().openSimFlights() == 1; }));
     ASSERT_TRUE(b.sendSim("follow", "bfs", "full", slowConfig(1)));
     ASSERT_TRUE(b.sendCancel("kill", "follow"));
     ASSERT_TRUE(b.await("kill").ok());
@@ -508,7 +538,7 @@ TEST(SingleFlight, FollowerDeadlineExpiresWhileLeaderContinues)
 
     ASSERT_TRUE(a.sendSim("lead", "bfs", "full", slowConfig(2)));
     ASSERT_TRUE(eventually(
-        [&] { return svc.context().simFlightsInFlight() == 1; }));
+        [&] { return svc.context().openSimFlights() == 1; }));
     // A 1 ms deadline expires while the follower waits on the
     // flight; its own token aborts the wait, the leader's does not.
     ASSERT_TRUE(
@@ -536,7 +566,7 @@ TEST(SingleFlight, LeaderFailurePropagatesErrorClassToFollowers)
 
     ASSERT_TRUE(a.sendSim("lead", "bfs", "full", slowConfig(3)));
     ASSERT_TRUE(eventually(
-        [&] { return svc.context().simFlightsInFlight() == 1; }));
+        [&] { return svc.context().openSimFlights() == 1; }));
     ASSERT_TRUE(b.sendSim("follow", "bfs", "full", slowConfig(3)));
     // Wait until the follower has demonstrably JOINED the flight —
     // cancelling the leader first would just let the follower start
@@ -756,6 +786,6 @@ TEST(Stress, SeededFloodRunsEachDistinctSimExactlyOnce)
         << totalInFlight(svc) << " still in flight";
     EXPECT_EQ(svc.admission().queueDepth(Lane::Cold), 0u);
     EXPECT_EQ(svc.admission().queueDepth(Lane::Warm), 0u);
-    EXPECT_EQ(svc.context().simFlightsInFlight(), 0u);
+    EXPECT_EQ(svc.context().openSimFlights(), 0u);
     svc.stop();
 }
