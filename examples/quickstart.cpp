@@ -14,7 +14,8 @@
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
-#include "gpusim/simconfig.hh"
+#include "gpusim/replay.hh"
+#include "gpusim/timing.hh"
 #include "support/table.hh"
 
 using namespace rodinia;
@@ -62,21 +63,22 @@ main(int argc, char **argv)
                 (unsigned long long)cpu.dataPages,
                 (unsigned long long)cpu.instructionBlocks);
 
-    // --- GPU side: the GPGPU-Sim-style characterization. ------------
+    // --- GPU side: record once, then analyze and simulate. ----------
     if (workload->gpuVersions() > 0) {
-        auto gpu = core::characterizeGpu(
-            *workload, core::Scale::Small,
-            gpusim::SimConfig::gpgpusimDefault(),
-            workload->gpuVersions());
+        auto seq = workload->runGpu(core::Scale::Small,
+                                    workload->gpuVersions());
+        auto config = gpusim::SimConfig::gpgpusimDefault();
+        auto trace = gpusim::analyzeTrace(seq, config.warpSize);
+        auto timing = gpusim::TimingSim(config).simulate(seq);
         std::printf("GPU (28-SM GPGPU-Sim-like config):\n");
-        std::printf("  IPC                 %.1f\n", gpu.timing.ipc());
+        std::printf("  IPC                 %.1f\n", timing.ipc());
         std::printf("  cycles              %llu\n",
-                    (unsigned long long)gpu.timing.cycles);
+                    (unsigned long long)timing.cycles);
         std::printf("  DRAM bandwidth util %.1f%%\n",
-                    gpu.timing.bwUtilization() * 100.0);
+                    timing.bwUtilization() * 100.0);
         std::printf("  avg warp occupancy  %.1f / 32\n",
-                    gpu.trace.avgWarpOccupancy());
-        auto memf = gpu.trace.memOpFractions();
+                    trace.avgWarpOccupancy());
+        auto memf = trace.memOpFractions();
         std::printf("  mem mix: shared %.0f%%  tex %.0f%%  const %.0f%%"
                     "  global %.0f%%\n",
                     memf[size_t(gpusim::Space::Shared)] * 100,

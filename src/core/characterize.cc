@@ -1,7 +1,6 @@
 #include "core/characterize.hh"
 
 #include "support/alloc_align.hh"
-#include "support/logging.hh"
 
 namespace rodinia {
 namespace core {
@@ -124,25 +123,6 @@ characterizeCpu(Workload &workload, Scale scale, int threads)
     out.sweep = std::move(swept.stats);
     out.sweepLineAccesses = swept.lineAccesses;
     out.sweepReplaySeconds = swept.replaySeconds;
-    return out;
-}
-
-GpuCharacterization
-characterizeGpu(Workload &workload, Scale scale,
-                const gpusim::SimConfig &config, int version)
-{
-    if (workload.gpuVersions() < version)
-        fatal("workload '", workload.info().name,
-              "' has no GPU version ", version);
-
-    GpuCharacterization out;
-    out.name = workload.info().name;
-    out.version = version;
-
-    gpusim::LaunchSequence seq = workload.runGpu(scale, version);
-    out.trace = gpusim::analyzeTrace(seq, config.warpSize);
-    gpusim::TimingSim sim(config);
-    out.timing = sim.simulate(seq);
     return out;
 }
 

@@ -7,9 +7,9 @@
  * data footprints, combined into the feature vectors used for PCA
  * and hierarchical clustering.
  *
- * GPU side (Section III): records the kernel launch sequence once
- * and exposes both timing-free trace statistics and timing-model
- * results for a given configuration.
+ * The GPU side (Section III) has no runner here: driver::Context
+ * records each launch sequence once and serves its trace statistics
+ * (recipe) and timing results (gpuStats) from there.
  */
 
 #ifndef RODINIA_CORE_CHARACTERIZE_HH
@@ -21,8 +21,6 @@
 #include "cachesim/cache.hh"
 #include "cachesim/sweep.hh"
 #include "core/workload.hh"
-#include "gpusim/replay.hh"
-#include "gpusim/timing.hh"
 #include "trace/trace.hh"
 
 namespace rodinia {
@@ -79,24 +77,6 @@ struct CpuCharacterization
  */
 CpuCharacterization characterizeCpu(Workload &workload, Scale scale,
                                     int threads = 8);
-
-/** GPU-side metrics of one workload under one configuration. */
-struct GpuCharacterization
-{
-    std::string name;
-    int version = 1;
-    gpusim::TraceStats trace;
-    gpusim::KernelStats timing;
-};
-
-/**
- * Record and simulate the workload's GPU implementation.
- * For sweeps over many configurations, prefer recording once via
- * Workload::runGpu and invoking gpusim::TimingSim directly.
- */
-GpuCharacterization characterizeGpu(Workload &workload, Scale scale,
-                                    const gpusim::SimConfig &config,
-                                    int version = 1);
 
 /** Suite display tag used in figures: "(R)", "(P)" or "(R, P)". */
 std::string suiteTag(Suite suite);

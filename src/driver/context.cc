@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 
@@ -111,17 +112,24 @@ Context::Context(ResultStore *store, Executor *executor)
     // value is the resident sealed-chunk budget per EventStream.
     // Installed here (not in trace/) so the sink can reuse the
     // figure result store; torn down in the destructor so tests that
-    // build short-lived Contexts don't leak a dangling sink.
+    // build short-lived Contexts don't leak a dangling sink. A
+    // disabled store (--no-cache) drops every put and misses every
+    // get, so spilling into it would lose the chunks.
     const char *budget = std::getenv("RODINIA_TRACE_SPILL_CHUNKS");
-    if (store && budget && *budget) {
-        char *end = nullptr;
-        unsigned long n = std::strtoul(budget, &end, 10);
-        if (end != budget && *end == '\0' && n > 0) {
-            prevSpillResident = trace::traceSpillResidentChunks();
-            spillSink = std::make_unique<StoreChunkSink>(store);
-            prevSpillSink =
-                trace::setTraceSpill(spillSink.get(), uint32_t(n));
-        }
+    if (!budget || !*budget)
+        return;
+    char *end = nullptr;
+    unsigned long n = std::strtoul(budget, &end, 10);
+    if (end == budget || *end != '\0' || n == 0 || n > UINT32_MAX) {
+        warn("RODINIA_TRACE_SPILL_CHUNKS='", budget,
+             "' is not a positive integer; trace spilling is off");
+    } else if (!store || !store->enabled()) {
+        warn("RODINIA_TRACE_SPILL_CHUNKS ignored: no enabled result "
+             "store to spill into");
+    } else {
+        prevSpillResident = trace::traceSpillResidentChunks();
+        spillSink = std::make_unique<StoreChunkSink>(store);
+        prevSpillSink = trace::setTraceSpill(spillSink.get(), uint32_t(n));
     }
 }
 

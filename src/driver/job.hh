@@ -105,9 +105,6 @@ class JobGraph
     std::vector<Job> &jobs() { return jobs_; }
     const std::vector<Job> &jobs() const { return jobs_; }
 
-    /** Ids of jobs that directly depend on @p id. */
-    std::vector<size_t> dependents(size_t id) const;
-
     /** True once every job is Done. */
     bool allDone() const;
 

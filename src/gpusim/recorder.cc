@@ -344,21 +344,6 @@ KernelRecording::threadInstructions() const
     return n;
 }
 
-std::vector<uint64_t>
-KernelRecording::memOpsBySpace() const
-{
-    std::vector<uint64_t> out(size_t(Space::Local) + 1, 0);
-    for (const auto &block : blocks) {
-        for (const auto &lane : block.lanes) {
-            lane.forEach([&](const GEvent &e) {
-                if (e.op == GOp::Load || e.op == GOp::Store)
-                    out[size_t(e.space)] += 1;
-            });
-        }
-    }
-    return out;
-}
-
 uint64_t
 LaunchSequence::threadInstructions() const
 {
@@ -366,18 +351,6 @@ LaunchSequence::threadInstructions() const
     for (const auto &l : launches)
         n += l.threadInstructions();
     return n;
-}
-
-std::vector<uint64_t>
-LaunchSequence::memOpsBySpace() const
-{
-    std::vector<uint64_t> out(size_t(Space::Local) + 1, 0);
-    for (const auto &l : launches) {
-        auto v = l.memOpsBySpace();
-        for (size_t i = 0; i < out.size(); ++i)
-            out[i] += v[i];
-    }
-    return out;
 }
 
 namespace {
@@ -454,27 +427,6 @@ contentHash(const LaunchSequence &seq)
     for (const auto &rec : seq.launches)
         h = mixWord(h, contentHash(rec));
     return h;
-}
-
-const char *
-spaceName(Space s)
-{
-    switch (s) {
-      case Space::Global:
-        return "global";
-      case Space::Shared:
-        return "shared";
-      case Space::Const:
-        return "const";
-      case Space::Tex:
-        return "tex";
-      case Space::Param:
-        return "param";
-      case Space::Local:
-        return "local";
-      default:
-        return "none";
-    }
 }
 
 } // namespace gpusim

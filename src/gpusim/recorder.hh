@@ -49,7 +49,6 @@ struct LaunchSequence
     }
 
     uint64_t threadInstructions() const;
-    std::vector<uint64_t> memOpsBySpace() const;
 };
 
 /**

@@ -53,9 +53,6 @@ enum class Space : uint8_t {
     Local,
 };
 
-/** Printable name for a memory space. */
-const char *spaceName(Space s);
-
 /**
  * 128-bit execution-order key: up to three (pc, iteration) loop
  * levels followed by the event PC, packed most-significant-first so
@@ -288,9 +285,6 @@ struct KernelRecording
 
     /** Total dynamic thread instructions across all blocks. */
     uint64_t threadInstructions() const;
-
-    /** Total dynamic memory instructions by space. */
-    std::vector<uint64_t> memOpsBySpace() const;
 };
 
 } // namespace gpusim

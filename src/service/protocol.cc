@@ -684,6 +684,8 @@ parseRequest(const std::string &line, Request &out, std::string &error)
 // Response rendering.
 // ---------------------------------------------------------------
 
+namespace {
+
 const char *
 rejectReasonName(RejectReason r)
 {
@@ -694,6 +696,8 @@ rejectReasonName(RejectReason r)
     }
     return "?";
 }
+
+} // namespace
 
 std::string
 renderAccepted(const std::string &id, const std::string &lane)

@@ -212,8 +212,6 @@ bool parseScale(const std::string &s, core::Scale &out);
  *  failures). */
 enum class RejectReason { Overload, Quota, BadRequest };
 
-const char *rejectReasonName(RejectReason r);
-
 std::string renderAccepted(const std::string &id,
                            const std::string &lane);
 std::string renderRejected(const std::string &id, RejectReason reason,

@@ -1091,12 +1091,6 @@ ExperimentService::stop()
     }
 }
 
-bool
-ExperimentService::running() const
-{
-    return impl->running.load(std::memory_order_acquire);
-}
-
 const ServiceConfig &
 ExperimentService::config() const
 {

@@ -110,7 +110,6 @@ class ExperimentService
      */
     void stop();
 
-    bool running() const;
     const ServiceConfig &config() const;
 
     /** Accepted connections so far (client ids are "c<N>"). */

@@ -27,24 +27,6 @@ Matrix::fromRows(const std::vector<std::vector<double>> &rows)
     return m;
 }
 
-std::vector<double>
-Matrix::row(size_t r) const
-{
-    std::vector<double> out(nCols);
-    for (size_t c = 0; c < nCols; ++c)
-        out[c] = at(r, c);
-    return out;
-}
-
-std::vector<double>
-Matrix::col(size_t c) const
-{
-    std::vector<double> out(nRows);
-    for (size_t r = 0; r < nRows; ++r)
-        out[r] = at(r, c);
-    return out;
-}
-
 Matrix
 Matrix::transposed() const
 {

@@ -35,12 +35,6 @@ class Matrix
     double &at(size_t r, size_t c) { return elems[r * nCols + c]; }
     double at(size_t r, size_t c) const { return elems[r * nCols + c]; }
 
-    /** One row as a vector copy. */
-    std::vector<double> row(size_t r) const;
-
-    /** One column as a vector copy. */
-    std::vector<double> col(size_t c) const;
-
     /** Matrix transpose. */
     Matrix transposed() const;
 

@@ -46,6 +46,13 @@ namespace {
 
 std::atomic<int> liveScopes{0};
 
+/** True while any DeterministicAllocScope is alive. */
+bool
+deterministicAllocationActive()
+{
+    return liveScopes.load(std::memory_order_relaxed) > 0;
+}
+
 } // namespace
 
 namespace rodinia {
@@ -63,12 +70,6 @@ DeterministicAllocScope::DeterministicAllocScope()
 DeterministicAllocScope::~DeterministicAllocScope()
 {
     liveScopes.fetch_sub(1, std::memory_order_relaxed);
-}
-
-bool
-deterministicAllocationActive()
-{
-    return liveScopes.load(std::memory_order_relaxed) > 0;
 }
 
 } // namespace support
@@ -91,7 +92,7 @@ alignedAlloc(std::size_t size, std::size_t minAlign)
     if (size == 0)
         size = 1;
     std::size_t align = minAlign;
-    if (rodinia::support::deterministicAllocationActive()) {
+    if (deterministicAllocationActive()) {
         std::size_t pin = size < kLine ? kLine : kPage;
         if (align < pin)
             align = pin;

@@ -36,9 +36,6 @@ class DeterministicAllocScope
     operator=(const DeterministicAllocScope &) = delete;
 };
 
-/** True while any DeterministicAllocScope is alive. */
-bool deterministicAllocationActive();
-
 } // namespace support
 } // namespace rodinia
 

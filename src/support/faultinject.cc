@@ -59,8 +59,6 @@ parseCount(const std::string &entry, const std::string &value,
     return uint64_t(v);
 }
 
-} // namespace
-
 const char *
 faultOpName(FaultOp op)
 {
@@ -78,6 +76,8 @@ faultOpName(FaultOp op)
     }
     return "?";
 }
+
+} // namespace
 
 FaultInjector::FaultInjector(const char *envSpec)
 {

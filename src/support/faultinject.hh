@@ -76,8 +76,6 @@ class InjectedFault : public std::runtime_error
 /** File operations with injectable failures. */
 enum class FaultOp { Write, Fsync, Rename, Unlink, Alloc };
 
-const char *faultOpName(FaultOp op);
-
 /**
  * Process-wide injector. instance() lazily parses $RODINIA_FAULTS;
  * with the variable unset every query is a cheap "no". Tests call

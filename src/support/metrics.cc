@@ -170,15 +170,6 @@ Registry::drainInto(Registry &dst)
     }
 }
 
-void
-Registry::clear()
-{
-    for (Shard &shard : shards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.metrics.clear();
-    }
-}
-
 const MetricSnapshot *
 Snapshot::find(std::string_view name) const
 {

@@ -183,8 +183,6 @@ class Registry
      */
     void drainInto(Registry &dst);
 
-    void clear();
-
     static Registry &global();
 
   private:

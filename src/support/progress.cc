@@ -46,12 +46,5 @@ StreamProgressReporter::jobFailed(const std::string &name,
     std::fflush(out);
 }
 
-size_t
-StreamProgressReporter::completed() const
-{
-    std::lock_guard<std::mutex> lock(mu);
-    return done;
-}
-
 } // namespace support
 } // namespace rodinia

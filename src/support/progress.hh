@@ -52,11 +52,8 @@ class StreamProgressReporter : public ProgressReporter
     void jobFailed(const std::string &name, const std::string &error,
                    bool skipped) override;
 
-    /** Jobs finished or failed so far. */
-    size_t completed() const;
-
   private:
-    mutable std::mutex mu;
+    std::mutex mu;
     size_t total;
     size_t done = 0;
     std::FILE *out;

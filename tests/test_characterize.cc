@@ -9,6 +9,8 @@
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
+#include "driver/context.hh"
+#include "gpusim/replay.hh"
 #include "gpusim/simconfig.hh"
 #include "stats/cluster.hh"
 #include "stats/pca.hh"
@@ -104,16 +106,16 @@ TEST(Characterize, DeterministicUpToAddressLayout)
 
 TEST(Characterize, GpuPipelineEndToEnd)
 {
-    registerAllWorkloads();
-    auto w = Registry::instance().create("hotspot");
-    auto g = characterizeGpu(*w, Scale::Tiny,
-                             gpusim::SimConfig::gpgpusimDefault());
-    EXPECT_GT(g.timing.cycles, 0u);
-    EXPECT_GT(g.timing.ipc(), 0.0);
-    EXPECT_LE(g.timing.ipc(), 28.0 * 32.0);
-    EXPECT_GT(g.trace.threadInstructions, 0u);
-    EXPECT_GE(g.timing.bwUtilization(), 0.0);
-    EXPECT_LE(g.timing.bwUtilization(), 1.0);
+    driver::Context ctx;
+    const auto &timing = ctx.gpuStats("hotspot", Scale::Tiny, 1,
+                                      gpusim::SimConfig::gpgpusimDefault());
+    const auto &trace = ctx.recipe("hotspot", Scale::Tiny, 1).trace;
+    EXPECT_GT(timing.cycles, 0u);
+    EXPECT_GT(timing.ipc(), 0.0);
+    EXPECT_LE(timing.ipc(), 28.0 * 32.0);
+    EXPECT_GT(trace.threadInstructions, 0u);
+    EXPECT_GE(timing.bwUtilization(), 0.0);
+    EXPECT_LE(timing.bwUtilization(), 1.0);
 }
 
 TEST(Characterize, SharedMemoryWorkloadsShowSharedOps)

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -27,6 +28,7 @@
 #include "driver/job.hh"
 #include "driver/result_store.hh"
 #include "support/metrics.hh"
+#include "trace/stream.hh"
 
 using namespace rodinia;
 using driver::Executor;
@@ -508,6 +510,49 @@ TEST(Context, MemoizesAndCachesCharacterizations)
     const auto &reloaded = ctx2.cpu("kmeans", core::Scale::Tiny, 2);
     EXPECT_EQ(store.hits(), 1u);
     EXPECT_EQ(driver::serializeCpuChar(reloaded), firstBytes);
+}
+
+TEST(Context, TraceSpillNeedsAnEnabledStore)
+{
+    // A disabled store (experiments --no-cache) drops every put and
+    // misses every get, so a spill sink over it would lose every
+    // chunk it evicted and the decode would panic. The Context must
+    // leave spilling off there, and compute what an unspilled run
+    // computes.
+    const char *name = "nw";
+    std::string plain;
+    {
+        driver::Context ctx;
+        plain = driver::serializeCpuChar(ctx.cpu(name, core::Scale::Tiny, 2));
+    }
+
+    const char *prev = std::getenv("RODINIA_TRACE_SPILL_CHUNKS");
+    std::string saved = prev ? prev : "";
+    setenv("RODINIA_TRACE_SPILL_CHUNKS", "1", 1);
+    ScratchDir scratch("spill");
+    uint64_t spilledBefore = trace::traceChunksSpilled();
+    {
+        // Over an enabled store the workload does spill, so the
+        // disabled-store run below exercises the guard.
+        ResultStore store(scratch.dir());
+        driver::Context ctx(&store);
+        EXPECT_EQ(driver::serializeCpuChar(
+                      ctx.cpu(name, core::Scale::Tiny, 2)),
+                  plain);
+        EXPECT_GT(trace::traceChunksSpilled(), spilledBefore);
+    }
+    std::string disabledBytes;
+    {
+        ResultStore disabled(scratch.dir() / "off", false);
+        driver::Context ctx(&disabled);
+        disabledBytes =
+            driver::serializeCpuChar(ctx.cpu(name, core::Scale::Tiny, 2));
+    }
+    if (prev)
+        setenv("RODINIA_TRACE_SPILL_CHUNKS", saved.c_str(), 1);
+    else
+        unsetenv("RODINIA_TRACE_SPILL_CHUNKS");
+    EXPECT_EQ(disabledBytes, plain);
 }
 
 TEST(Context, FigureRegistryIsComplete)

@@ -21,8 +21,8 @@
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
+#include "driver/context.hh"
 #include "gpusim/simconfig.hh"
-#include "gpusim/timing.hh"
 #include "trace/trace.hh"
 
 using namespace rodinia;
@@ -121,11 +121,11 @@ TEST(PaperSmokeDeep, LudCharacterizesAtPaperScale)
 /** One GPU recording + timing simulation at paper scale. */
 TEST(PaperSmokeDeep, LudGpuSimulatesAtPaperScale)
 {
-    registerAllWorkloads();
-    auto w = Registry::instance().create("lud");
-    auto g = characterizeGpu(*w, Scale::Paper,
-                             gpusim::SimConfig::gpgpusimDefault());
-    EXPECT_GT(g.timing.cycles, 0u);
-    EXPECT_GT(g.trace.threadInstructions, 0u);
+    driver::Context ctx;
+    const auto &timing = ctx.gpuStats("lud", Scale::Paper, 1,
+                                      gpusim::SimConfig::gpgpusimDefault());
+    EXPECT_GT(timing.cycles, 0u);
+    EXPECT_GT(ctx.recipe("lud", Scale::Paper, 1).trace.threadInstructions,
+              0u);
     EXPECT_LE(peakRssMiB(), kRssBudgetMiB);
 }

@@ -1208,6 +1208,54 @@ TEST(ServiceSmoke, ExploadReplaysGoldenTraffic)
     EXPECT_EQ(WEXITSTATUS(st), 0);
 }
 
+TEST(ServiceSmoke, ExploadRejectsNonIntegerCounts)
+{
+    // Integer flags parse strictly: "2.7" clients used to run 2, and
+    // a seed above 2^53 was silently rounded. Each bad value exits 2
+    // naming its flag, before any connection is attempted (the
+    // socket does not exist).
+    ScratchDir scratch("exploadargs");
+    std::string sock = scratch.socket();
+    const std::vector<std::pair<const char *, const char *>> bad = {
+        {"--clients", "2.7"}, {"--requests", "4.5"}, {"--batch", "1.5"},
+        {"--tcp", "80.5"},    {"--seed", "1e3"},     {"--clients", "-1"},
+        {"--seed", "18446744073709551616"},
+    };
+    for (const auto &[flag, v] : bad) {
+        int fds[2];
+        ASSERT_EQ(pipe(fds), 0);
+        pid_t load = fork();
+        ASSERT_GE(load, 0);
+        if (load == 0) {
+            dup2(fds[1], STDERR_FILENO);
+            close(fds[0]);
+            close(fds[1]);
+            const char *argv[] = {RODINIA_EXPLOAD_BIN, "--socket",
+                                  sock.c_str(), flag, v, nullptr};
+            execv(argv[0], const_cast<char **>(argv));
+            _exit(127);
+        }
+        close(fds[1]);
+        std::string err;
+        char buf[512];
+        for (ssize_t n; (n = read(fds[0], buf, sizeof(buf))) != 0;) {
+            if (n > 0)
+                err.append(buf, size_t(n));
+            else if (errno != EINTR)
+                break;
+        }
+        close(fds[0]);
+        int st = 0;
+        ASSERT_EQ(waitpid(load, &st, 0), load);
+        ASSERT_TRUE(WIFEXITED(st)) << flag << " " << v;
+        EXPECT_EQ(WEXITSTATUS(st), 2) << flag << " " << v << ": " << err;
+        EXPECT_NE(err.find(std::string(flag) + ": '" + v +
+                           "' is not an integer"),
+                  std::string::npos)
+            << err;
+    }
+}
+
 TEST(ServiceSmoke, ExploadWeightedBatchReplayReportsCoalescing)
 {
     // The weighted/batch replay modes: two clients with 3:1 weights

@@ -26,7 +26,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -320,28 +323,49 @@ main(int argc, char **argv)
             out = d;
             return true;
         };
+        // Counts, ports and the seed parse strictly as integers:
+        // "2.7", "-1" or "1e3" is a mistake, not a request to round.
+        auto integer = [&](uint64_t lo, uint64_t hi, uint64_t &out) {
+            const char *v = value();
+            if (!v)
+                return false;
+            char *end = nullptr;
+            errno = 0;
+            unsigned long long n = std::strtoull(v, &end, 10);
+            if (!std::isdigit((unsigned char)*v) || *end != '\0' ||
+                errno == ERANGE || n < lo || n > hi) {
+                std::fprintf(stderr,
+                             "%s: '%s' is not an integer in [%llu, %llu]\n",
+                             arg, v, (unsigned long long)lo,
+                             (unsigned long long)hi);
+                return false;
+            }
+            out = n;
+            return true;
+        };
         double d = 0.0;
+        uint64_t n = 0;
         if (!std::strcmp(arg, "--socket")) {
             const char *v = value();
             if (!v)
                 return 2;
             opt.socketPath = v;
         } else if (!std::strcmp(arg, "--clients")) {
-            if (!number(1, 256, d))
+            if (!integer(1, 256, n))
                 return 2;
-            opt.clients = int(d);
+            opt.clients = int(n);
         } else if (!std::strcmp(arg, "--requests")) {
-            if (!number(1, 1e6, d))
+            if (!integer(1, 1000000, n))
                 return 2;
-            opt.requests = int(d);
+            opt.requests = int(n);
         } else if (!std::strcmp(arg, "--warm-ratio")) {
             if (!number(0.0, 1.0, d))
                 return 2;
             opt.warmRatio = d;
         } else if (!std::strcmp(arg, "--seed")) {
-            if (!number(0, 1e18, d))
+            if (!integer(0, UINT64_MAX, n))
                 return 2;
-            opt.seed = uint64_t(d);
+            opt.seed = n;
         } else if (!std::strcmp(arg, "--figure")) {
             const char *v = value();
             if (!v)
@@ -391,13 +415,13 @@ main(int argc, char **argv)
                 pos = comma + 1;
             }
         } else if (!std::strcmp(arg, "--batch")) {
-            if (!number(1, 128, d))
+            if (!integer(1, 128, n))
                 return 2;
-            opt.batch = int(d);
+            opt.batch = int(n);
         } else if (!std::strcmp(arg, "--tcp")) {
-            if (!number(1, 65535, d))
+            if (!integer(1, 65535, n))
                 return 2;
-            opt.tcpPort = int(d);
+            opt.tcpPort = int(n);
         } else if (!std::strcmp(arg, "--golden")) {
             const char *v = value();
             if (!v)
