@@ -15,6 +15,7 @@
 
 #include "core/characterize.hh"
 #include "core/workload.hh"
+#include "gpusim/devicemem.hh"
 #include "gpusim/replay.hh"
 #include "gpusim/timing.hh"
 #include "support/rng.hh"
@@ -94,6 +95,12 @@ class SaxpyReduce : public core::Workload
             x[i] = float(rng.uniform());
             y[i] = float(rng.uniform());
         }
+        // The cudaMalloc analog: the recording holds these buffers'
+        // canonical device addresses, not their host addresses.
+        gpusim::DeviceSpace dev;
+        dev.add(x);
+        dev.add(y);
+        dev.add(blockSums);
 
         gpusim::LaunchConfig launch;
         launch.blockDim = 256;
@@ -121,7 +128,7 @@ class SaxpyReduce : public core::Workload
         };
 
         gpusim::LaunchSequence seq;
-        seq.add(gpusim::recordKernel(launch, kernel));
+        seq.add(gpusim::recordKernel(launch, kernel, dev));
         sum = std::accumulate(blockSums.begin(), blockSums.end(), 0.0);
         digest = uint64_t(sum);
         return seq;

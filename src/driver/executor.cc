@@ -304,18 +304,15 @@ Executor::Impl::executeJob(const std::shared_ptr<RunCtx> &ctx, size_t id)
 {
     std::string name;
     double deadlineMs = 0.0;
-    int maxAttempts = 0;
     {
         std::lock_guard<std::mutex> lock(ctx->mu);
         Job &j = ctx->graph->job(id);
         j.status = JobStatus::Running;
         name = j.name;
         deadlineMs = j.softDeadlineMs;
-        maxAttempts = j.maxAttempts;
     }
     const RetryPolicy policy = ctx->impl->policy;
-    if (maxAttempts <= 0)
-        maxAttempts = std::max(1, policy.maxAttempts);
+    const int maxAttempts = std::max(1, policy.maxAttempts);
     if (ctx->progress)
         ctx->progress->jobStarted(name);
 

@@ -663,6 +663,8 @@ buildAblationSimt(Context &ctx)
             ctx2.alu(2);
         }
     };
+    DeviceSpace dev;
+    dev.add(data);
     auto makeRec = [&](bool use_keys) {
         return recordKernel(launch, [&](KernelCtx &ctx2) {
             int n = trips[ctx2.globalId()];
@@ -676,7 +678,7 @@ buildAblationSimt(Context &ctx)
                 }
             }
             ctx2.stg(&data[ctx2.globalId()], acc);
-        });
+        }, dev);
     };
 
     auto withKeys = analyzeTrace(makeRec(true));

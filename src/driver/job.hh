@@ -67,8 +67,6 @@ struct Job
     // Scheduling policy (set by the graph author before run()).
     double softDeadlineMs = 0.0; //!< watchdog deadline per attempt;
                                  //!< <= 0 disables
-    int maxAttempts = 0;         //!< retry cap for transient errors;
-                                 //!< <= 0 uses the executor's policy
 
     // Filled in by the executor.
     JobStatus status = JobStatus::Pending;

@@ -1,7 +1,6 @@
 #include "gpusim/devicemem.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "support/logging.hh"
 
@@ -35,54 +34,31 @@ DeviceSpace::add(const void *p, size_t bytes)
     buffers.insert(it, b);
 }
 
-void
-DeviceSpace::rewrite(LaunchSequence &seq) const
+uint64_t
+DeviceSpace::translate(uint64_t addr)
 {
-    // First-touch page map for addresses in no registered buffer
-    // (stack scalars referenced via ctx.param(&x) and the like).
-    std::unordered_map<uint64_t, uint64_t> hostPages;
-
-    // One-entry buffer cache: consecutive events overwhelmingly hit
-    // the same registered buffer, so try the previous match before
-    // paying the binary search.
-    const Buffer *lastBuf = nullptr;
-    auto remap = [&](uint64_t addr) -> uint64_t {
-        if (lastBuf && addr - lastBuf->base < lastBuf->bytes)
-            return lastBuf->canonical + (addr - lastBuf->base);
-        // Registered buffer: canonical base + offset.
-        auto it = std::upper_bound(
-            buffers.begin(), buffers.end(), addr,
-            [](uint64_t a, const Buffer &x) { return a < x.base; });
-        if (it != buffers.begin()) {
-            const Buffer &b = *(it - 1);
-            if (addr - b.base < b.bytes) {
-                lastBuf = &b;
-                return b.canonical + (addr - b.base);
-            }
-        }
-        // Fallback: deterministic page-granular relocation.
-        uint64_t page = addr >> 12;
-        auto [slot, fresh] =
-            hostPages.try_emplace(page, kHostBase >> 12);
-        if (fresh)
-            slot->second = (kHostBase >> 12) + hostPages.size() - 1;
-        return (slot->second << 12) | (addr & 0xfff);
-    };
-
-    for (auto &launch : seq.launches) {
-        for (auto &block : launch.blocks) {
-            for (auto &lane : block.lanes) {
-                lane.transform([&](GEvent &e) {
-                    if (e.op != GOp::Load && e.op != GOp::Store)
-                        return;
-                    if (e.space == Space::Shared ||
-                        e.space == Space::None)
-                        return;
-                    e.addr = remap(e.addr);
-                });
-            }
+    // Consecutive accesses overwhelmingly hit the same buffer, so
+    // try the previous match before paying the binary search.
+    if (last < buffers.size() &&
+        addr - buffers[last].base < buffers[last].bytes)
+        return buffers[last].canonical + (addr - buffers[last].base);
+    // Registered buffer: canonical base + offset.
+    auto it = std::upper_bound(
+        buffers.begin(), buffers.end(), addr,
+        [](uint64_t a, const Buffer &x) { return a < x.base; });
+    if (it != buffers.begin()) {
+        const Buffer &b = *(it - 1);
+        if (addr - b.base < b.bytes) {
+            last = size_t(it - 1 - buffers.begin());
+            return b.canonical + (addr - b.base);
         }
     }
+    // Fallback: deterministic page-granular relocation.
+    uint64_t page = addr >> 12;
+    auto [slot, fresh] = hostPages.try_emplace(page, kHostBase >> 12);
+    if (fresh)
+        slot->second = (kHostBase >> 12) + hostPages.size() - 1;
+    return (slot->second << 12) | (addr & 0xfff);
 }
 
 } // namespace gpusim

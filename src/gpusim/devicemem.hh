@@ -2,27 +2,22 @@
  * @file
  * Canonical device address space for recorded kernel traces.
  *
- * Kernels record the real host addresses of the std::vector buffers
- * that stand in for device memory, so a raw trace depends on the
- * process's heap layout: the same workload recorded in a different
- * binary (or after different prior allocations) yields different
- * coalescing, cache-set and channel behavior. Real CUDA does not
- * have this problem because cudaMalloc hands out addresses from a
- * private device address space.
+ * Kernels touch the host addresses of the std::vector buffers that
+ * stand in for device memory. Those depend on the heap layout, and
+ * with them coalescing, cache-set and channel behavior; real CUDA
+ * takes addresses from cudaMalloc's private device address space.
  *
  * DeviceSpace reproduces that: a workload's runGpu registers every
- * traced buffer (the cudaMalloc analog), and rewrite() relocates all
- * recorded addresses onto canonical, 256-byte-aligned bases assigned
- * in registration order — matching cudaMalloc's 256-byte alignment
- * guarantee. Offsets within a buffer are preserved exactly, so
- * coalescing and cache behavior are those of the canonical layout,
- * identical across processes, threads, and allocation histories.
- *
- * Addresses outside every registered buffer (stack scalars passed by
+ * traced buffer (the cudaMalloc analog) and passes the space to
+ * recordKernel, which translates each global/const/tex/param/local
+ * address as it records it. Buffers get canonical, 256-byte-aligned
+ * bases (cudaMalloc's guarantee) in registration order; offsets
+ * within a buffer are kept, so a recording holds no host address and
+ * is identical across processes, threads and allocation histories.
+ * Addresses in no registered buffer (stack scalars passed by
  * pointer, forgotten registrations) are remapped page-wise on first
- * touch in deterministic trace order, preserving page offsets.
- * Shared-memory addresses are already virtual (the recorder's
- * bump allocator) and are left untouched.
+ * touch, in recording order, keeping page offsets. Shared-memory
+ * addresses are already virtual (the recorder's bump allocator).
  */
 
 #ifndef RODINIA_GPUSIM_DEVICEMEM_HH
@@ -30,9 +25,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <unordered_map>
 #include <vector>
-
-#include "gpusim/recorder.hh"
 
 namespace rodinia {
 namespace gpusim {
@@ -50,7 +44,8 @@ class DeviceSpace
     /**
      * Register a host buffer as a device allocation. Buffers must be
      * live (distinct addresses) at registration time; overlapping
-     * registrations are fatal.
+     * registrations are fatal. A buffer must be registered before
+     * the first launch that touches it.
      */
     void add(const void *p, size_t bytes);
 
@@ -64,11 +59,10 @@ class DeviceSpace
     }
 
     /**
-     * Rewrite every recorded global/const/tex/param/local address
-     * into the canonical space. Call once, after the last
-     * recordKernel of the sequence and before the buffers die.
+     * Map a host address into the canonical space: a registered
+     * buffer's canonical base plus the offset, else a fallback page.
      */
-    void rewrite(LaunchSequence &seq) const;
+    uint64_t translate(uint64_t addr);
 
   private:
     struct Buffer
@@ -80,6 +74,9 @@ class DeviceSpace
 
     std::vector<Buffer> buffers; //!< sorted by real base
     uint64_t top = kDeviceBase;  //!< next canonical base
+    size_t last = 0;             //!< index of the last match (a hint)
+    /** First-touch page map for addresses in no registered buffer. */
+    std::unordered_map<uint64_t, uint64_t> hostPages;
 };
 
 } // namespace gpusim

@@ -64,8 +64,8 @@ class BlockRunner
 {
   public:
     BlockRunner(const LaunchConfig &launch, const Kernel &kernel,
-                int block_idx, StackPool &stacks)
-        : launch(launch), kernel(kernel), blockIdx(block_idx),
+                int block_idx, StackPool &stacks, DeviceSpace &dev)
+        : dev(dev), launch(launch), kernel(kernel), blockIdx(block_idx),
           stacks(stacks)
     {
     }
@@ -107,6 +107,7 @@ class BlockRunner
     }
 
     uint64_t eventBudgetUsed = 0;
+    DeviceSpace &dev; //!< translates KernelCtx::record's addresses
 
   private:
     struct Fiber
@@ -205,6 +206,7 @@ BlockRunner::run()
     rec.lanes.reserve(n);
     for (int t = 0; t < n; ++t) {
         ctxs[t]->flushPending();
+        ctxs[t]->events.shrinkToFit();
         eventBudgetUsed += ctxs[t]->events.size();
         rec.lanes.push_back(std::move(ctxs[t]->events));
         stacks.put(std::move(fibers[t].stack));
@@ -289,6 +291,11 @@ KernelCtx::record(GOp op, Space space, uint64_t addr, uint32_t size,
         maxEventsPerLaunch)
         fatal("kernel trace exceeds ", maxEventsPerLaunch,
               " events; reduce the problem size");
+    // Shared addresses come from the block's bump allocator and are
+    // already virtual; every other memory space holds host addresses.
+    if ((op == GOp::Load || op == GOp::Store) && space != Space::Shared &&
+        space != Space::None)
+        addr = runner->dev.translate(addr);
     flushPending();
     pending.key = key;
     pending.addr = addr;
@@ -313,7 +320,8 @@ KernelCtx::sharedAlloc(size_t bytes, size_t align, uint64_t &base_addr)
 }
 
 KernelRecording
-recordKernel(const LaunchConfig &launch, const Kernel &kernel)
+recordKernel(const LaunchConfig &launch, const Kernel &kernel,
+             DeviceSpace &dev)
 {
     if (launch.gridDim < 1 || launch.blockDim < 1)
         fatal("recordKernel: invalid launch geometry");
@@ -324,7 +332,7 @@ recordKernel(const LaunchConfig &launch, const Kernel &kernel)
     StackPool stacks;
     uint64_t budget = 0;
     for (int b = 0; b < launch.gridDim; ++b) {
-        BlockRunner runner(launch, kernel, b, stacks);
+        BlockRunner runner(launch, kernel, b, stacks, dev);
         runner.eventBudgetUsed = budget;
         rec.blocks.push_back(runner.run());
         budget = runner.eventBudgetUsed;
@@ -393,9 +401,10 @@ contentHash(const KernelRecording &rec)
                 // Field-by-field over the decoded event (a GEvent
                 // has padding bytes whose contents are unspecified),
                 // so the digest is a pure function of the logical
-                // trace and identical across the compact and oracle
-                // representations — store keys must not depend on
-                // how the trace is stored. Two mix rounds per event,
+                // trace, not of LaneStream's byte encoding: store
+                // keys survive an encoding change, and the recorded
+                // addresses are canonical, so they survive a change
+                // of heap layout too. Two mix rounds per event,
                 // not five: each field is premixed with a distinct
                 // odd multiplier so contributions cannot cancel by
                 // simple XOR alignment, and the full avalanche runs

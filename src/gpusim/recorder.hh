@@ -14,6 +14,7 @@
 #ifndef RODINIA_GPUSIM_RECORDER_HH
 #define RODINIA_GPUSIM_RECORDER_HH
 
+#include "gpusim/devicemem.hh"
 #include "gpusim/kernel.hh"
 #include "gpusim/types.hh"
 
@@ -28,9 +29,10 @@ namespace gpusim {
  *
  * @param launch grid/block geometry
  * @param kernel per-thread kernel function
+ * @param dev device space that translates each non-shared address
  */
 KernelRecording recordKernel(const LaunchConfig &launch,
-                             const Kernel &kernel);
+                             const Kernel &kernel, DeviceSpace &dev);
 
 /**
  * A sequence of dependent kernel launches (iterative applications
@@ -55,9 +57,9 @@ struct LaunchSequence
  * Digest over every field that determines simulation output: launch
  * geometry, per-block shared size, and each lane's full event
  * stream (order keys, addresses, sizes, counts, op, space).
- * Recordings are canonical (device addresses are rewritten onto
- * gpusim::DeviceSpace), so the digest is process-independent; the
- * driver uses it to content-address stored simulation results.
+ * The recorder stores only gpusim::DeviceSpace addresses, never host
+ * ones, so the digest is process-independent; the driver uses it to
+ * content-address stored simulation results.
  */
 uint64_t contentHash(const KernelRecording &rec);
 

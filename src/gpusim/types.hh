@@ -166,6 +166,9 @@ class LaneStream
     /** Encoded payload bytes. */
     uint64_t encodedBytes() const { return buf.size(); }
 
+    /** Drop append slack once complete: recordings outlive the run. */
+    void shrinkToFit() { buf.shrink_to_fit(); }
+
     /** Sequential decoder; do not append while cursors exist. */
     class Cursor
     {
@@ -233,25 +236,6 @@ class LaneStream
         out.reserve(std::size_t(count));
         forEach([&](const GEvent &e) { out.push_back(e); });
         return out;
-    }
-
-    /**
-     * Rewrite every event in place: decode, apply fn(GEvent&),
-     * re-encode. Used by DeviceSpace::rewrite to remap addresses
-     * onto the canonical device layout. Invalidates cursors.
-     */
-    template <typename Fn>
-    void
-    transform(Fn &&fn)
-    {
-        LaneStream out;
-        out.buf.reserve(buf.size());
-        forEach([&](const GEvent &ev) {
-            GEvent m = ev;
-            fn(m);
-            out.append(m);
-        });
-        *this = std::move(out);
     }
 
   private:

@@ -9,7 +9,7 @@
  * line-straddle splits and page co-tenancy of traced addresses
  * process-independent. Outside any scope, allocation falls through
  * to plain malloc at full speed — the GPU simulator and the
- * statistics pipeline get their determinism from address rewriting
+ * statistics pipeline get their determinism from address translation
  * (gpusim::DeviceSpace) and need no help from the allocator.
  */
 

@@ -2,9 +2,10 @@
 
 #include <atomic>
 #include <memory>
+#include <stdexcept>
+#include <string>
 #include <unordered_map>
 
-#include "support/logging.hh"
 #include "support/rng.hh"
 #include "workloads/parsec/pipeline.hh"
 
@@ -73,7 +74,9 @@ Dedup::runCpu(trace::TraceSession &session, core::Scale scale)
 
     const int nt = session.numThreads();
     if (nt < 3)
-        fatal("dedup's pipeline needs at least 3 threads, got ", nt);
+        throw std::invalid_argument(
+            "dedup's pipeline needs at least 3 threads, got " +
+            std::to_string(nt));
 
     // Deterministic pipeline lanes: the chunker routes each chunk by
     // a content key, lane L's deduplicator feeds lane L's compressor

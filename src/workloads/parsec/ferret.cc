@@ -2,8 +2,9 @@
 
 #include <cmath>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
-#include "support/logging.hh"
 #include "support/rng.hh"
 #include "workloads/parsec/pipeline.hh"
 
@@ -72,7 +73,9 @@ Ferret::runCpu(trace::TraceSession &session, core::Scale scale)
     }
     const int nt = session.numThreads();
     if (nt < 3)
-        fatal("ferret's pipeline needs at least 3 threads, got ", nt);
+        throw std::invalid_argument(
+            "ferret's pipeline needs at least 3 threads, got " +
+            std::to_string(nt));
 
     Rng rng(0xFE44E7);
     // Image database: feature vectors plus LSH hyperplanes/buckets.

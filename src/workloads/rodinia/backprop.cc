@@ -227,7 +227,7 @@ BackProp::runGpu(core::Scale scale, int version)
             ctx.stg(&partialOut[size_t(tile) * p.hidden + tx],
                     weight.get(ctx, tx));
     };
-    seq.add(gpusim::recordKernel(launch, forward));
+    seq.add(gpusim::recordKernel(launch, forward, dev));
 
     // Host: finish the forward pass and compute the deltas.
     float out = 0.0f;
@@ -267,11 +267,10 @@ BackProp::runGpu(core::Scale scale, int version)
         ctx.stg(&net.w1[size_t(i) * p.hidden + tx],
                 w + p.eta * dh * xi);
     };
-    seq.add(gpusim::recordKernel(launch, adjust));
+    seq.add(gpusim::recordKernel(launch, adjust, dev));
 
     digest = core::hashRange(net.w1.begin(), net.w1.end());
     digest = core::hashCombine(digest, uint64_t(out * 1e6f));
-    dev.rewrite(seq);
     return seq;
 }
 

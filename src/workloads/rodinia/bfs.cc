@@ -210,7 +210,7 @@ Bfs::runGpu(core::Scale scale, int version)
                 }
             }
         };
-        seq.add(gpusim::recordKernel(launch, kernel));
+        seq.add(gpusim::recordKernel(launch, kernel, dev));
 
         more = false;
         for (int u = 0; u < g.numNodes; ++u)
@@ -221,7 +221,6 @@ Bfs::runGpu(core::Scale scale, int version)
     }
 
     digest = core::hashRange(cost.begin(), cost.end());
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -284,7 +284,7 @@ Cfd::runGpu(core::Scale scale, int version)
                 ctx.stg(&flux[size_t(i) * 5 + v], acc[v]);
             }
         };
-        seq.add(gpusim::recordKernel(launch, fluxKernel));
+        seq.add(gpusim::recordKernel(launch, fluxKernel, dev));
 
         // time_step kernel.
         auto stepKernel = [&](gpusim::KernelCtx &ctx) {
@@ -304,13 +304,12 @@ Cfd::runGpu(core::Scale scale, int version)
             ctx.stg(&m.momz[i], m.momz[i] - dt * f3);
             ctx.stg(&m.energy[i], m.energy[i] - dt * f4);
         };
-        seq.add(gpusim::recordKernel(launch, stepKernel));
+        seq.add(gpusim::recordKernel(launch, stepKernel, dev));
     }
 
     digest = core::hashRange(m.density.begin(), m.density.end());
     digest = core::hashCombine(
         digest, core::hashRange(m.energy.begin(), m.energy.end()));
-    dev.rewrite(seq);
     return seq;
 }
 

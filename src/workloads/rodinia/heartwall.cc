@@ -321,7 +321,7 @@ HeartWall::runGpu(core::Scale scale, int version)
                 }
             }
         };
-        seq.add(gpusim::recordKernel(launch, kernel));
+        seq.add(gpusim::recordKernel(launch, kernel, dev));
 
         d.posR = newR;
         d.posC = newC;
@@ -330,7 +330,6 @@ HeartWall::runGpu(core::Scale scale, int version)
     digest = core::hashRange(d.posR.begin(), d.posR.end());
     digest = core::hashCombine(
         digest, core::hashRange(d.posC.begin(), d.posC.end()));
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -247,14 +247,13 @@ HotSpot::runGpu(core::Scale scale, int version)
             float v = stencil(at, r, c, pw);
             ctx.stg(&out[size_t(r) * p.cols + c], v);
         };
-        seq.add(gpusim::recordKernel(launch, kernel));
+        seq.add(gpusim::recordKernel(launch, kernel, dev));
     }
 
     // An odd trailing iteration (not used by the default sizes)
     // would fall back to the host; keep iters even.
     const std::vector<float> &fin = (p.iters / 2 % 2 == 0) ? temp : next;
     digest = core::hashRange(fin.begin(), fin.end());
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -228,7 +228,7 @@ Kmeans::runGpu(core::Scale scale, int version)
                 }
             }
             ctx.stg(&membership[i], bestC);
-        });
+        }, dev);
         seq.add(std::move(rec));
 
         // Center update on the host (as Rodinia does): recompute
@@ -253,7 +253,6 @@ Kmeans::runGpu(core::Scale scale, int version)
     digest = core::hashRange(membership.begin(), membership.end());
     digest = core::hashCombine(
         digest, core::hashRange(centers.begin(), centers.end()));
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -218,7 +218,7 @@ Leukocyte::runGpu(core::Scale scale, int version)
             d.score[size_t(r) * p.cols + c] = sc;
             ctx.stg(&d.score[size_t(r) * p.cols + c], sc);
         };
-        seq.add(gpusim::recordKernel(launch, gicov));
+        seq.add(gpusim::recordKernel(launch, gicov, dev));
 
         // Dilation kernel: score map re-read through texture.
         auto dilate = [&](gpusim::KernelCtx &ctx) {
@@ -239,7 +239,7 @@ Leukocyte::runGpu(core::Scale scale, int version)
             d.dilated[size_t(r) * p.cols + c] = mx;
             ctx.stg(&d.dilated[size_t(r) * p.cols + c], mx);
         };
-        seq.add(gpusim::recordKernel(launch, dilate));
+        seq.add(gpusim::recordKernel(launch, dilate, dev));
     } else {
         // v2: persistent thread blocks; per-chunk scores stay in
         // shared memory and only a per-block best survives. Enough
@@ -293,7 +293,7 @@ Leukocyte::runGpu(core::Scale scale, int version)
                 ctx.stg(&blockBest[ctx.blockIdx()],
                         best.get(ctx, 0));
         };
-        seq.add(gpusim::recordKernel(launch, persistent));
+        seq.add(gpusim::recordKernel(launch, persistent, dev));
 
         // Dilation on the host-visible score map (kept in the same
         // launch sequence shape as v1 for comparability).
@@ -310,7 +310,6 @@ Leukocyte::runGpu(core::Scale scale, int version)
     }
 
     digest = core::hashRange(d.dilated.begin(), d.dilated.end());
-    dev.rewrite(seq);
     return seq;
 }
 

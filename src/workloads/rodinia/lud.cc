@@ -133,14 +133,14 @@ Lud::runGpu(core::Scale scale, int version)
                     ctx.stg(&a[size_t(i) * n + j], v - l * u);
                 }
             };
-            seq.add(gpusim::recordKernel(launch, kernel));
+            seq.add(gpusim::recordKernel(launch, kernel, dev));
         }
         digest = core::hashRange(a.begin(), a.end());
-        dev.rewrite(seq);
         return seq;
     }
 
-    // v2: Rodinia's blocked three-kernel structure.
+    // v2: Rodinia's blocked three-kernel structure, one kB-wide tile
+    // step at a time: diagonal, perimeter, then internal tiles.
     const int tiles = n / kB;
     for (int kb = 0; kb < tiles; ++kb) {
         const int base = kb * kB;
@@ -179,7 +179,7 @@ Lud::runGpu(core::Scale scale, int version)
                     ctx.stg(&a[size_t(base + tx) * n + base + j], v);
                 }
             };
-            seq.add(gpusim::recordKernel(launch, diag));
+            seq.add(gpusim::recordKernel(launch, diag, dev));
         }
 
         if (kb == tiles - 1)
@@ -265,7 +265,7 @@ Lud::runGpu(core::Scale scale, int version)
                     }
                 }
             };
-            seq.add(gpusim::recordKernel(launch, perim));
+            seq.add(gpusim::recordKernel(launch, perim, dev));
         }
 
         // Internal kernel: trailing-submatrix tile update.
@@ -300,12 +300,11 @@ Lud::runGpu(core::Scale scale, int version)
                 a[size_t(row0 + ty) * n + col0 + tx] = v - acc;
                 ctx.stg(&a[size_t(row0 + ty) * n + col0 + tx], v - acc);
             };
-            seq.add(gpusim::recordKernel(launch, internal));
+            seq.add(gpusim::recordKernel(launch, internal, dev));
         }
     }
 
     digest = core::hashRange(a.begin(), a.end());
-    dev.rewrite(seq);
     return seq;
 }
 

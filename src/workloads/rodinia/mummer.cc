@@ -341,10 +341,9 @@ Mummer::runGpu(core::Scale scale, int version)
         ctx.stg(&results[q], matched);
     };
     gpusim::LaunchSequence seq;
-    seq.add(gpusim::recordKernel(launch, kernel));
+    seq.add(gpusim::recordKernel(launch, kernel, dev));
 
     digest = core::hashRange(results.begin(), results.end());
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -247,12 +247,11 @@ NeedlemanWunsch::runGpu(core::Scale scale, int version)
                 }
             }
         };
-        seq.add(gpusim::recordKernel(launch, kernel));
+        seq.add(gpusim::recordKernel(launch, kernel, dev));
     }
 
     score = d.score[size_t(n) * w + n];
     digest = digestOf(d, n);
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -288,7 +288,7 @@ Srad::runGpu(core::Scale scale, int version)
             ctx.stg(&de[i], vde);
             ctx.stg(&cc[i], vc);
         };
-        seq.add(gpusim::recordKernel(launch, srad1));
+        seq.add(gpusim::recordKernel(launch, srad1, dev));
 
         // Kernel 2: divergence update.
         auto srad2 = [&](gpusim::KernelCtx &ctx) {
@@ -332,11 +332,10 @@ Srad::runGpu(core::Scale scale, int version)
             img[i] = v;
             ctx.stg(&img[i], v);
         };
-        seq.add(gpusim::recordKernel(launch, srad2));
+        seq.add(gpusim::recordKernel(launch, srad2, dev));
     }
 
     digest = core::hashRange(img.begin(), img.end());
-    dev.rewrite(seq);
     return seq;
 }
 

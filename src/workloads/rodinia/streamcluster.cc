@@ -189,13 +189,12 @@ StreamCluster::runGpu(core::Scale scale, int version)
                 ctx.stg(&d.cost[i], newCost);
             }
         };
-        seq.add(gpusim::recordKernel(launch, kernel));
+        seq.add(gpusim::recordKernel(launch, kernel, dev));
     }
 
     digest = core::hashRange(d.assign.begin(), d.assign.end());
     digest = core::hashCombine(
         digest, core::hashRange(d.cost.begin(), d.cost.end()));
-    dev.rewrite(seq);
     return seq;
 }
 

@@ -512,6 +512,33 @@ TEST(Context, MemoizesAndCachesCharacterizations)
     EXPECT_EQ(driver::serializeCpuChar(reloaded), firstBytes);
 }
 
+TEST(Context, TooFewPipelineThreadsFailTheCallNotTheProcess)
+{
+    // dedup and ferret run a pipeline of at least 3 stages; fewer
+    // threads is a bad argument to that one call. It must throw,
+    // leaving the process and the Context usable, and a job making
+    // the call fails with the Workload class.
+    driver::Context ctx;
+    EXPECT_THROW(ctx.cpu("dedup", core::Scale::Tiny, 2),
+                 std::invalid_argument);
+
+    Executor ex(1);
+    JobGraph g;
+    size_t id = g.add("cpu:ferret", [&] {
+        ctx.cpu("ferret", core::Scale::Tiny, 2);
+    });
+    EXPECT_FALSE(ex.run(g));
+    EXPECT_EQ(g.job(id).errorClass, driver::ErrorClass::Workload);
+    EXPECT_EQ(g.job(id).attempts, 1);
+    EXPECT_NE(g.job(id).error.find(
+                  "ferret's pipeline needs at least 3 threads, got 2"),
+              std::string::npos);
+
+    const auto &ok = ctx.cpu("dedup", core::Scale::Tiny, 3);
+    EXPECT_EQ(ok.name, "dedup");
+    EXPECT_EQ(ok.threads, 3);
+}
+
 TEST(Context, TraceSpillNeedsAnEnabledStore)
 {
     // A disabled store (experiments --no-cache) drops every put and

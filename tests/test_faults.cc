@@ -487,22 +487,6 @@ TEST(Retry, InjectedPermanentFaultFailsAndSkipsDependents)
               "skipped: dependency 'figure:x' failed");
 }
 
-TEST(Retry, PerJobMaxAttemptsOverridesPolicy)
-{
-    Executor ex(1);
-    ex.setRetryPolicy({5, 1, 2});
-    JobGraph g;
-    std::atomic<int> calls{0};
-    size_t id = g.add("capped", [&] {
-        ++calls;
-        throw driver::TransientError("io");
-    });
-    g.job(id).maxAttempts = 2;
-    EXPECT_FALSE(ex.run(g));
-    EXPECT_EQ(g.job(id).attempts, 2);
-    EXPECT_EQ(calls.load(), 2);
-}
-
 // ---------------------------------------------------------------
 // Watchdog — soft deadlines and cooperative cancellation
 // ---------------------------------------------------------------

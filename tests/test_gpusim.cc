@@ -57,11 +57,13 @@ TEST(SimpleCache, EvictsLeastRecentlyUsed)
 TEST(Recorder, RecordsPerLaneEvents)
 {
     std::vector<float> data(64, 1.0f);
+    DeviceSpace dev;
+    dev.add(data);
     auto rec = recordKernel(launchOf(1, 32), [&](KernelCtx &ctx) {
         ctx.ldg(&data[ctx.tid()]);
         ctx.fp(2);
         ctx.stg(&data[ctx.tid()], 0.0f);
-    });
+    }, dev);
     ASSERT_EQ(rec.blocks.size(), 1u);
     ASSERT_EQ(rec.blocks[0].lanes.size(), 32u);
     for (const auto &lane : rec.blocks[0].lanes)
@@ -76,12 +78,13 @@ TEST(Recorder, SharedMemoryCommunicatesAcrossBarrier)
     // order the phases.
     const int n = 64;
     std::vector<int> out(n, -1);
+    DeviceSpace dev;
     recordKernel(launchOf(1, n), [&](KernelCtx &ctx) {
         auto sh = ctx.shared<int>(n);
         sh.put(ctx, ctx.tid(), ctx.tid() * 10);
         ctx.sync();
         out[ctx.tid()] = sh.get(ctx, n - 1 - ctx.tid());
-    });
+    }, dev);
     for (int t = 0; t < n; ++t)
         EXPECT_EQ(out[t], (n - 1 - t) * 10);
 }
@@ -92,6 +95,7 @@ TEST(Recorder, MultiPhaseProducerConsumer)
     // barrier phase.
     const int n = 16;
     std::vector<int> out(n, 0);
+    DeviceSpace dev;
     recordKernel(launchOf(1, n), [&](KernelCtx &ctx) {
         auto sh = ctx.shared<int>(n);
         sh.put(ctx, ctx.tid(), ctx.tid());
@@ -104,40 +108,112 @@ TEST(Recorder, MultiPhaseProducerConsumer)
             ctx.sync();
         }
         out[ctx.tid()] = sh.get(ctx, ctx.tid());
-    });
+    }, dev);
     for (int t = 0; t < n; ++t)
         EXPECT_EQ(out[t], (t + 3) % n);
 }
 
 TEST(Recorder, SharedBytesTracked)
 {
+    DeviceSpace dev;
     auto rec = recordKernel(launchOf(2, 8), [&](KernelCtx &ctx) {
         auto a = ctx.shared<float>(128);
         auto b = ctx.shared<double>(16);
         a.put(ctx, 0, 1.0f);
         (void)b;
-    });
+    }, dev);
     EXPECT_GE(rec.blocks[0].sharedBytes, 128 * 4 + 16 * 8);
 }
 
 TEST(Recorder, AluEventsMerge)
 {
+    DeviceSpace dev;
     auto rec = recordKernel(launchOf(1, 1), [&](KernelCtx &ctx) {
         for (int i = 0; i < 100; ++i)
             ctx.fp(1); // same site, same key: must merge
-    });
+    }, dev);
     ASSERT_EQ(rec.blocks[0].lanes[0].size(), 1u);
     EXPECT_EQ(rec.blocks[0].lanes[0].decodeAll()[0].count, 100u);
+}
+
+TEST(DeviceSpace, RegisteredBuffersGetAlignedBasesInRegistrationOrder)
+{
+    // Carve three buffers out of one allocation, registering them
+    // out of host-address order: canonical bases follow registration
+    // order and round each size up to the 256-byte cudaMalloc grain.
+    std::vector<char> host(4096);
+    const uint64_t at = uint64_t(uintptr_t(host.data()));
+    DeviceSpace dev;
+    dev.add(host.data() + 2048, 100);
+    dev.add(host.data(), 1000);
+    dev.add(host.data() + 1024, 8);
+    const uint64_t base = DeviceSpace::kDeviceBase;
+    EXPECT_EQ(dev.translate(at + 2048), base);
+    EXPECT_EQ(dev.translate(at + 2048 + 99), base + 99);
+    EXPECT_EQ(dev.translate(at), base + 256);
+    EXPECT_EQ(dev.translate(at + 999), base + 256 + 999);
+    EXPECT_EQ(dev.translate(at + 1024), base + 256 + 1024);
+    EXPECT_EQ(dev.translate(at + 1031), base + 256 + 1024 + 7);
+    // A repeat lookup (served by the one-entry cache) agrees.
+    EXPECT_EQ(dev.translate(at + 1), base + 256 + 1);
+    EXPECT_EQ(dev.translate(at + 1), base + 256 + 1);
+}
+
+TEST(DeviceSpace, UnregisteredAddressesFallBackPagewise)
+{
+    std::vector<char> host(64);
+    DeviceSpace dev;
+    dev.add(host);
+    const uint64_t fallback = DeviceSpace::kHostBase;
+    // First touch numbers pages in order; offsets within a page are
+    // kept, and a page keeps its number once assigned.
+    EXPECT_EQ(dev.translate(0x7f0012345678), fallback + 0x678);
+    EXPECT_EQ(dev.translate(0x7f0000001010), fallback + 0x1010);
+    EXPECT_EQ(dev.translate(0x7f0012345abc), fallback + 0xabc);
+    EXPECT_EQ(dev.translate(0x7f0000001ffc), fallback + 0x1ffc);
+    EXPECT_EQ(dev.translate(uint64_t(uintptr_t(host.data())) + 5),
+              DeviceSpace::kDeviceBase + 5);
+}
+
+TEST(DeviceSpace, RecordingIsIndependentOfHostBuffers)
+{
+    // The same kernel over two live (so distinct) host buffers, each
+    // registered in its own space, records identical traces.
+    std::vector<float> first(1000, 1.0f), second(1000, 1.0f);
+    float scale = 2.0f;
+    auto record = [&](std::vector<float> &data) {
+        DeviceSpace dev;
+        dev.add(data);
+        dev.add(&scale, sizeof(scale));
+        return recordKernel(launchOf(4, 64), [&](KernelCtx &ctx) {
+            int i = ctx.globalId() * 3 % int(data.size());
+            float s = ctx.ldp(&scale);
+            ctx.stg(&data[i], s * ctx.ldg(&data[i]));
+        }, dev);
+    };
+    auto a = record(first);
+    auto b = record(second);
+    ASSERT_NE(first.data(), second.data());
+    EXPECT_EQ(contentHash(a), contentHash(b));
+    // Lane 0 of block 0 reads the scale parameter (the second
+    // registration), then data[0] (the first), then stores it back.
+    auto events = a.blocks[0].lanes[0].decodeAll();
+    ASSERT_EQ(events.size(), 3u);
+    EXPECT_EQ(events[0].addr, DeviceSpace::kDeviceBase + 4096);
+    EXPECT_EQ(events[1].addr, DeviceSpace::kDeviceBase);
+    EXPECT_EQ(events[2].addr, DeviceSpace::kDeviceBase);
 }
 
 TEST(Replay, UniformKernelFullyOccupied)
 {
     std::vector<float> data(32, 0.0f);
+    DeviceSpace dev;
+    dev.add(data);
     auto rec = recordKernel(launchOf(1, 32), [&](KernelCtx &ctx) {
         ctx.ldg(&data[ctx.tid()]);
         ctx.fp(3);
         ctx.stg(&data[ctx.tid()], 1.0f);
-    });
+    }, dev);
     auto stats = analyzeTrace(rec);
     auto frac = stats.occupancyFractions();
     EXPECT_DOUBLE_EQ(frac[3], 1.0); // all warp insts 25-32 active
@@ -146,13 +222,14 @@ TEST(Replay, UniformKernelFullyOccupied)
 
 TEST(Replay, BranchDivergenceSplitsWarp)
 {
+    DeviceSpace dev;
     auto rec = recordKernel(launchOf(1, 32), [&](KernelCtx &ctx) {
         if (ctx.branch(ctx.tid() < 8))
             ctx.fp(10);
         else
             ctx.alu(10);
         ctx.fp(1); // reconverged
-    });
+    }, dev);
     ASSERT_EQ(rec.blocks.size(), 1u);
     WarpReplayer rep(rec.blocks[0], 0, 32);
     WarpInst inst;
@@ -178,12 +255,13 @@ TEST(Replay, LoopTripCountDivergence)
 {
     // Lane t iterates t+1 times; with LoopIter the replayer must not
     // merge different iterations, so occupancy decays.
+    DeviceSpace dev;
     auto rec = recordKernel(launchOf(1, 32), [&](KernelCtx &ctx) {
         for (int i = 0; i <= ctx.tid(); ++i) {
             LoopIter li(ctx, i);
             ctx.fp(1);
         }
-    });
+    }, dev);
     WarpReplayer rep(rec.blocks[0], 0, 32);
     WarpInst inst;
     int step = 0;
@@ -197,9 +275,10 @@ TEST(Replay, LoopTripCountDivergence)
 
 TEST(Replay, PartialLastWarp)
 {
+    DeviceSpace dev;
     auto rec = recordKernel(launchOf(1, 40), [&](KernelCtx &ctx) {
         ctx.fp(1);
-    });
+    }, dev);
     auto stats = analyzeTrace(rec);
     // Warp 0 fully occupied; warp 1 has 8 lanes.
     EXPECT_EQ(stats.occupancyBuckets[3], 1u);
@@ -210,6 +289,10 @@ TEST(Replay, MemOpsBrokenDownBySpace)
 {
     std::vector<float> g(32), t(32);
     float c = 1.0f;
+    DeviceSpace dev;
+    dev.add(g);
+    dev.add(t);
+    dev.add(&c, sizeof(c));
     auto rec = recordKernel(launchOf(1, 32), [&](KernelCtx &ctx) {
         auto sh = ctx.shared<float>(32);
         ctx.ldg(&g[ctx.tid()]);
@@ -217,7 +300,7 @@ TEST(Replay, MemOpsBrokenDownBySpace)
         ctx.ldc(&c);
         ctx.ldp(&c);
         sh.put(ctx, ctx.tid(), 0.0f);
-    });
+    }, dev);
     auto stats = analyzeTrace(rec);
     EXPECT_EQ(stats.memOps[size_t(Space::Global)], 32u);
     EXPECT_EQ(stats.memOps[size_t(Space::Tex)], 32u);
@@ -232,16 +315,19 @@ namespace {
 KernelRecording
 computeKernel(int grid, int block, int n)
 {
+    DeviceSpace dev;
     return recordKernel(launchOf(grid, block), [&](KernelCtx &ctx) {
         for (int i = 0; i < n; ++i)
             ctx.fp(1);
-    });
+    }, dev);
 }
 
 /** A streaming kernel reading one float per thread per rep. */
 KernelRecording
 streamKernel(std::vector<float> &data, int grid, int block, int reps)
 {
+    DeviceSpace dev;
+    dev.add(data);
     return recordKernel(launchOf(grid, block), [&](KernelCtx &ctx) {
         for (int r = 0; r < reps; ++r) {
             LoopIter li(ctx, r);
@@ -250,7 +336,7 @@ streamKernel(std::vector<float> &data, int grid, int block, int reps)
             ctx.ldg(&data[i]);
             ctx.fp(1);
         }
-    });
+    }, dev);
 }
 
 } // namespace
@@ -307,6 +393,8 @@ TEST(Timing, ComputeKernelInsensitiveToChannels)
 TEST(Timing, CoalescedBeatsScattered)
 {
     std::vector<float> data(1 << 20);
+    DeviceSpace dev;
+    dev.add(data);
     // Coalesced: lane l reads consecutive addresses.
     auto coalesced =
         recordKernel(launchOf(64, 256), [&](KernelCtx &ctx) {
@@ -315,7 +403,7 @@ TEST(Timing, CoalescedBeatsScattered)
                 ctx.ldg(&data[(r * 16384 + ctx.globalId()) %
                               int(data.size())]);
             }
-        });
+        }, dev);
     // Scattered: lane l reads stride-64 addresses (one transaction
     // per lane).
     auto scattered =
@@ -325,7 +413,7 @@ TEST(Timing, CoalescedBeatsScattered)
                 ctx.ldg(&data[(size_t(ctx.globalId()) * 64 + r * 7) %
                               data.size()]);
             }
-        });
+        }, dev);
     TimingSim sim(SimConfig::gpgpusimDefault());
     auto sc = sim.simulate(coalesced);
     auto ss = sim.simulate(scattered);
@@ -335,6 +423,7 @@ TEST(Timing, CoalescedBeatsScattered)
 
 TEST(Timing, BankConflictsSerializeSharedAccess)
 {
+    DeviceSpace dev;
     auto conflictKernel = recordKernel(
         launchOf(28, 256), [&](KernelCtx &ctx) {
             auto sh = ctx.shared<float>(256 * 16);
@@ -343,7 +432,7 @@ TEST(Timing, BankConflictsSerializeSharedAccess)
                 // Stride-16 words: every lane hits the same bank.
                 sh.put(ctx, size_t(ctx.tid()) * 16, float(r));
             }
-        });
+        }, dev);
     SimConfig on = SimConfig::gpgpusimDefault();
     on.bankConflictsEnabled = true;
     SimConfig off = on;
@@ -359,6 +448,8 @@ TEST(Timing, FermiL1HelpsRereadKernels)
     // Each thread re-reads a small per-block working set many times:
     // cacheable in L1, thrashing DRAM without it.
     std::vector<float> data(1 << 18);
+    DeviceSpace dev;
+    dev.add(data);
     auto rec = recordKernel(launchOf(30, 128), [&](KernelCtx &ctx) {
         for (int r = 0; r < 16; ++r) {
             LoopIter li(ctx, r);
@@ -366,7 +457,7 @@ TEST(Timing, FermiL1HelpsRereadKernels)
             ctx.ldg(&data[(base + (ctx.tid() * 7 + r * 13) % 1024) %
                           int(data.size())]);
         }
-    });
+    }, dev);
     auto l1bias = TimingSim(SimConfig::gtx480(true)).simulate(rec);
     auto nocache = TimingSim(SimConfig::gtx280()).simulate(rec);
     EXPECT_GT(l1bias.l1Hits, 0u);
@@ -379,6 +470,7 @@ TEST(Timing, BarrierKernelCompletes)
     // and produce correct data.
     const int n = 128;
     std::vector<int> out(n, 0);
+    DeviceSpace dev;
     auto rec = recordKernel(launchOf(4, n), [&](KernelCtx &ctx) {
         auto sh = ctx.shared<int>(n);
         sh.put(ctx, ctx.tid(), ctx.tid());
@@ -397,7 +489,7 @@ TEST(Timing, BarrierKernelCompletes)
         }
         if (ctx.branch(ctx.tid() == 0))
             out[ctx.blockIdx()] = sh.get(ctx, 0);
-    });
+    }, dev);
     // Block-level sum of 0..n-1.
     for (int b = 0; b < 4; ++b)
         EXPECT_EQ(out[b], n * (n - 1) / 2);
@@ -457,6 +549,8 @@ TEST(Timing, CtaLimitsReduceLatencyHiding)
     // to the 256-float variant (8 CTAs, 16 warps).
     std::vector<float> data(1 << 22);
     auto makeRec = [&](size_t sharedFloats) {
+        DeviceSpace dev;
+        dev.add(data);
         return recordKernel(launchOf(32, 64), [&](KernelCtx &ctx) {
             auto sh = ctx.shared<float>(sharedFloats);
             sh.put(ctx, ctx.tid() % sharedFloats, 1.0f);
@@ -468,7 +562,7 @@ TEST(Timing, CtaLimitsReduceLatencyHiding)
                 ctx.ldg(&data[idx]);
                 ctx.fp(4);
             }
-        });
+        }, dev);
     };
     auto small = makeRec(256);
     auto big = makeRec(7000); // ~28 kB: one CTA per SM
@@ -489,6 +583,8 @@ TEST(Timing, OversubscribedCtaCountsMetric)
     };
     uint64_t before = overCount();
     std::vector<float> data(64, 0.0f);
+    DeviceSpace dev;
+    dev.add(data);
     KernelRecording rec =
         recordKernel(launchOf(3, 32), [&](KernelCtx &ctx) {
             auto sh = ctx.shared<double>(8192); // 64 kB > 32 kB SM
@@ -496,7 +592,7 @@ TEST(Timing, OversubscribedCtaCountsMetric)
             ctx.sync();
             ctx.stg(&data[ctx.tid()],
                     float(sh.get(ctx, ctx.tid())));
-        });
+        }, dev);
     KernelStats st = TimingSim(SimConfig::gpgpusimDefault()).simulate(rec);
     EXPECT_EQ(overCount(), before + 3);
     EXPECT_GT(st.cycles, 0u);
@@ -506,12 +602,14 @@ TEST(OversubscribedCtaDeath, StrictModePanics)
 {
     ::testing::FLAGS_gtest_death_test_style = "threadsafe";
     std::vector<float> data(32, 0.0f);
+    DeviceSpace dev;
+    dev.add(data);
     KernelRecording rec =
         recordKernel(launchOf(2, 32), [&](KernelCtx &ctx) {
             auto sh = ctx.shared<double>(8192);
             sh.put(ctx, ctx.tid(), 1.0);
             ctx.stg(&data[ctx.tid()], 0.0f);
-        });
+        }, dev);
     EXPECT_DEATH(
         {
             setenv("RODINIA_STRICT", "1", 1);

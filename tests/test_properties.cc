@@ -181,6 +181,8 @@ mixedKernel()
     gpusim::LaunchConfig launch;
     launch.gridDim = 24;
     launch.blockDim = 128;
+    gpusim::DeviceSpace dev;
+    dev.add(data);
     return gpusim::recordKernel(launch, [&](gpusim::KernelCtx &ctx) {
         auto sh = ctx.shared<float>(128);
         float acc = 0.0f;
@@ -194,7 +196,7 @@ mixedKernel()
         ctx.sync();
         if (ctx.branch(ctx.tid() == 0))
             ctx.stg(&data[ctx.blockIdx()], sh.get(ctx, 0));
-    });
+    }, dev);
 }
 
 } // namespace

@@ -295,6 +295,9 @@ TEST_P(RodiniaSmoke, GpuRunsDeterministically)
     EXPECT_EQ(d1, w2->checksum());
     EXPECT_EQ(seq1.threadInstructions(), seq2.threadInstructions());
     EXPECT_GT(seq1.threadInstructions(), 0u);
+    // Both runs record canonical device addresses, so the second
+    // run's different heap layout must not reach the digest.
+    EXPECT_EQ(gpusim::contentHash(seq1), gpusim::contentHash(seq2));
 }
 
 INSTANTIATE_TEST_SUITE_P(
